@@ -34,12 +34,14 @@ from .series import AnalyticSeries, TimeSeries, analytic_signal, demean
 from .shrinkage import (
     FitConvergenceError,
     ShrinkageParams,
+    Shrunk,
     ThresholdField,
     apply_threshold,
     equivalent_kernel,
     fit,
     marginal_nll,
     posterior_rho,
+    shrink,
     threshold_field,
 )
 from .tfr import TFRGrid, bilinear, dual_frequency, spectrogram, window_bank
@@ -56,6 +58,7 @@ __all__ = [
     "QQData",
     "RiskReport",
     "ShrinkageParams",
+    "Shrunk",
     "TFRGrid",
     "ThresholdField",
     "TimeSeries",
@@ -78,6 +81,7 @@ __all__ = [
     "qq_normalized_af",
     "raw_moments",
     "risk_report",
+    "shrink",
     "smooth_kernel",
     "spectrogram",
     "threshold_field",

@@ -32,6 +32,7 @@ __all__ = [
     "denormalize",
     "smooth_kernel",
     "lag_support_mask",
+    "lag_index",
 ]
 
 
@@ -40,6 +41,16 @@ def lag_support_mask(n: int) -> np.ndarray:
     taus = np.arange(-(n - 1), n)[:, None]
     times = np.arange(n)[None, :]
     return (times >= np.maximum(0, taus)) & (times <= n - 1 + np.minimum(0, taus))
+
+
+def lag_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid index of each ``n x n`` matrix cell ``(t, s)``: lag ``t - s`` at time ``t``.
+
+    ``entries[lag_index(n)]`` is the matrix ``B[t, s] = m[t - s, t]``; assigning
+    through it fills exactly the lag support.
+    """
+    t = np.arange(n)[:, None]
+    return t - t.T + (n - 1), t
 
 
 @dataclass(frozen=True)
@@ -162,13 +173,8 @@ class NormalizationField:
 
 def raw_moments(z: AnalyticSeries) -> LagTimeMoments:
     """Raw lag products ``z[t] * conj(z[t - tau])`` on the lag support."""
-    n = z.n
-    s = z.samples
-    entries = np.zeros((2 * n - 1, n), dtype=complex)
-    for tau in range(-(n - 1), n):
-        lo, hi = max(0, tau), n - 1 + min(0, tau)
-        t = np.arange(lo, hi + 1)
-        entries[tau + n - 1, lo : hi + 1] = s[t] * np.conj(s[t - tau])
+    entries = np.zeros((2 * z.n - 1, z.n), dtype=complex)
+    entries[lag_index(z.n)] = np.outer(z.samples, z.samples.conj())
     return LagTimeMoments(entries, dt=z.dt)
 
 

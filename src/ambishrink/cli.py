@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambiguity import emaf, normalization, normalize, raw_moments
-from .covariance import assemble, correct, invert_af
+from .covariance import assemble, correct
 from .diagnostics import qq_normalized_af, risk_report, variance_reduction_probe
 from .procgen import (
     TheoreticalCovariance,
@@ -36,13 +35,8 @@ from .procgen import (
     locally_stationary_process,
     theoretical_covariance,
 )
-from .series import TimeSeries, analytic_signal, analytic_spectrum_weights, demean
-from .shrinkage import (
-    FitConvergenceError,
-    apply_threshold,
-    fit,
-    threshold_field,
-)
+from .series import TimeSeries, analytic_spectrum_weights
+from .shrinkage import shrink
 from .textio import (
     _fmt_real,
     format_psi_record,
@@ -247,25 +241,23 @@ def run_analyze(cfg: PipelineConfig) -> int:
         return 2
 
     outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"error: cannot create output directory: {err}", file=sys.stderr)
+        return 2
 
     if not np.any(x.samples):
         _zero_artifacts(cfg, x, outdir)
         return 0
 
-    z = analytic_signal(demean(x))
-    m_raw = raw_moments(z)
-    a_raw = emaf(m_raw)
-    write_matrix(outdir / "emaf.mat", a_raw.entries)
-
-    field = normalization(x.n, x.dt, cfg.delta)
-    a_norm = normalize(a_raw, field)
-    converged = True
     try:
-        params = fit(a_norm)
-    except FitConvergenceError as err:
-        converged = False
-        params = err.best
+        est = shrink(x, cfg.delta)
+    except ValueError as err:
+        print(f"error: cannot analyze {cfg.input}: {err}", file=sys.stderr)
+        return 2
+    params = est.params
+    write_matrix(outdir / "emaf.mat", est.a_raw.entries)
     with open(outdir / "psi.txt", "w") as fh:
         fh.write(
             format_psi_record(
@@ -273,14 +265,14 @@ def run_analyze(cfg: PipelineConfig) -> int:
             )
             + "\n"
         )
-    qq_re, qq_im = qq_normalized_af(a_norm, params.vbar)
+    qq_re, qq_im = qq_normalized_af(est.a_norm, params.vbar)
     for qq, name in ((qq_re, "qq_re.txt"), (qq_im, "qq_im.txt")):
         write_matrix(
             outdir / name,
             np.column_stack([qq.theoretical_quantiles, qq.sample_quantiles]),
             trailing=[f"# component={qq.component}"],
         )
-    if not converged:
+    if not est.converged:
         _write_summary(
             outdir / "summary.txt",
             _summary_items(
@@ -297,13 +289,10 @@ def run_analyze(cfg: PipelineConfig) -> int:
         print("error: mixture fit did not converge; best-so-far written", file=sys.stderr)
         return 3
 
-    theta = threshold_field(params, a_norm)
-    write_matrix(outdir / "theta.mat", theta.theta)
-    af_eb = apply_threshold(a_raw, theta)
-    write_matrix(outdir / "af_eb.mat", af_eb.entries)
-    m_eb = invert_af(af_eb)
-    write_matrix(outdir / "moments_eb.mat", m_eb.entries)
-    cov_est = assemble(m_eb)
+    write_matrix(outdir / "theta.mat", est.theta.theta)
+    write_matrix(outdir / "af_eb.mat", est.af_eb.entries)
+    write_matrix(outdir / "moments_eb.mat", est.m_eb.entries)
+    cov_est = assemble(est.m_eb)
     cov_fixed = correct(cov_est, cfg.correction)
     write_matrix(
         outdir / "cov_eb.mat",
@@ -313,7 +302,7 @@ def run_analyze(cfg: PipelineConfig) -> int:
             f"mineig={_fmt_real(cov_fixed.min_eigenvalue())}"
         ],
     )
-    surface = bilinear(m_eb, alpha=cfg.alpha, kernel=kernel, kernel_name=kernel_name)
+    surface = bilinear(est.m_eb, alpha=cfg.alpha, kernel=kernel, kernel_name=kernel_name)
     write_matrix(
         outdir / "tfr.mat",
         surface.values,
@@ -332,7 +321,7 @@ def run_analyze(cfg: PipelineConfig) -> int:
             iterations=str(params.iterations),
             min_eig_before=cov_est.min_eigenvalue(),
             min_eig_after=cov_fixed.min_eigenvalue(),
-            retained_fraction=float(np.mean(theta.theta > 0)),
+            retained_fraction=float(np.mean(est.theta.theta > 0)),
         ),
     )
     return 0
@@ -346,34 +335,26 @@ def run_riskbench(
         return 2
     try:
         truth_real = _preset_truth(preset, n, dt)
+        var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), seed)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     truth = TheoreticalCovariance(_analytic_truth(truth_real.entries))
-    field = normalization(n, dt)
     ratios = np.empty(reps)
     for rep in range(reps):
-        x = _generate(preset, n, seed + rep, dt)
-        z = analytic_signal(demean(x))
-        m_raw = raw_moments(z)
-        a_raw = emaf(m_raw)
-        a_norm = normalize(a_raw, field)
-        try:
-            params = fit(a_norm)
-        except FitConvergenceError as err:
-            params = err.best
-        theta = threshold_field(params, a_norm)
-        m_eb = invert_af(apply_threshold(a_raw, theta))
-        est = correct(assemble(m_eb), correction)
-        raw = assemble(m_raw)
-        ratios[rep] = risk_report(est, raw, truth).frobenius_ratio
-    var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), seed)
-    with open(out, "w") as fh:
-        fh.write(f"# riskbench v1 preset={preset} n={n} reps={reps} seed={seed}\n")
-        for rep, ratio in enumerate(ratios):
-            fh.write(f"rep={rep} ratio={_fmt_real(float(ratio))}\n")
-        fh.write(f"var_eb={_fmt_real(var_eb)} var_raw={_fmt_real(var_raw)}\n")
-        fh.write(f"mean_ratio={_fmt_real(float(np.mean(ratios)))}\n")
+        est = shrink(_generate(preset, n, seed + rep, dt))
+        shrunk = correct(assemble(est.m_eb), correction)
+        ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
+    try:
+        with open(out, "w") as fh:
+            fh.write(f"# riskbench v1 preset={preset} n={n} reps={reps} seed={seed}\n")
+            for rep, ratio in enumerate(ratios):
+                fh.write(f"rep={rep} ratio={_fmt_real(float(ratio))}\n")
+            fh.write(f"var_eb={_fmt_real(var_eb)} var_raw={_fmt_real(var_raw)}\n")
+            fh.write(f"mean_ratio={_fmt_real(float(np.mean(ratios)))}\n")
+    except OSError as err:
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -466,7 +447,11 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
-        write_signal(args.out or f"{args.preset}.sig", x)
+        try:
+            write_signal(args.out or f"{args.preset}.sig", x)
+        except OSError as err:
+            print(f"error: cannot write output: {err}", file=sys.stderr)
+            return 2
         return 0
     if args.command == "analyze":
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambiguity import AmbiguityGrid, LagTimeMoments, lag_support_mask
+from .ambiguity import AmbiguityGrid, LagTimeMoments, lag_index, lag_support_mask
 
 __all__ = ["HermitianCovariance", "invert_af", "assemble", "correct"]
 
@@ -86,15 +86,8 @@ def invert_af(a: AmbiguityGrid) -> LagTimeMoments:
 
 def assemble(m: LagTimeMoments) -> HermitianCovariance:
     """Arrange moments as ``B[t, t - tau] = m[tau, t]`` and keep the Hermitian part."""
-    n = m.n
-    b = np.zeros((n, n), dtype=complex)
-    for tau in range(-(n - 1), n):
-        lo, hi = max(0, tau), n - 1 + min(0, tau)
-        t = np.arange(lo, hi + 1)
-        b[t, t - tau] = m.entries[tau + n - 1, lo : hi + 1]
-    b = 0.5 * (b + b.conj().T)
-    eig = np.linalg.eigvalsh(b)[::-1].copy()
-    return HermitianCovariance(b, correction="none", eigenvalues=eig)
+    b = m.entries[lag_index(m.n)]
+    return HermitianCovariance(0.5 * (b + b.conj().T))
 
 
 def correct(c: HermitianCovariance, method: str = "clip") -> HermitianCovariance:

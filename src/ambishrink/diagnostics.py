@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .ambiguity import AmbiguityGrid, emaf, normalization, normalize, raw_moments
-from .covariance import HermitianCovariance, invert_af
+from .ambiguity import AmbiguityGrid
+from .covariance import HermitianCovariance
 from .procgen import TheoreticalCovariance, gen_white_noise
-from .series import analytic_signal, demean
-from .shrinkage import FitConvergenceError, apply_threshold, fit, threshold_field
+from .shrinkage import shrink
 
 __all__ = [
     "QQData",
@@ -156,21 +155,10 @@ def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float
     if n < 8:
         raise ValueError(f"series length must be at least 8, got {n}")
     tau_probe, t_probe = 5, n // 2
-    field = normalization(n, 1.0)
     raw_vals = np.empty(reps, dtype=complex)
     eb_vals = np.empty(reps, dtype=complex)
     for rep in range(reps):
-        x = gen_white_noise(n, seed=seed + rep)
-        z = analytic_signal(demean(x))
-        m_raw = raw_moments(z)
-        a_raw = emaf(m_raw)
-        a_norm = normalize(a_raw, field)
-        try:
-            params = fit(a_norm)
-        except FitConvergenceError as err:
-            params = err.best
-        theta = threshold_field(params, a_norm)
-        m_eb = invert_af(apply_threshold(a_raw, theta))
-        raw_vals[rep] = m_raw.entries[tau_probe + n - 1, t_probe]
-        eb_vals[rep] = m_eb.entries[tau_probe + n - 1, t_probe]
+        est = shrink(gen_white_noise(n, seed=seed + rep))
+        raw_vals[rep] = est.m_raw.entries[tau_probe + n - 1, t_probe]
+        eb_vals[rep] = est.m_eb.entries[tau_probe + n - 1, t_probe]
     return float(np.var(eb_vals)), float(np.var(raw_vals))

@@ -19,7 +19,9 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit, logit, ndtr, ndtri
 
-from .ambiguity import AmbiguityGrid
+from .ambiguity import AmbiguityGrid, LagTimeMoments, emaf, normalization, normalize, raw_moments
+from .covariance import invert_af
+from .series import TimeSeries, analytic_signal, demean
 
 __all__ = [
     "ShrinkageParams",
@@ -31,6 +33,8 @@ __all__ = [
     "threshold_field",
     "apply_threshold",
     "equivalent_kernel",
+    "Shrunk",
+    "shrink",
 ]
 
 
@@ -279,3 +283,35 @@ def equivalent_kernel(t: ThresholdField) -> np.ndarray:
     """
     spectra = np.fft.ifftshift(t.theta, axes=1)
     return np.fft.ifft(spectra, axis=1) / t.dt
+
+
+@dataclass(frozen=True)
+class Shrunk:
+    """Every stage of one :func:`shrink` run; ``converged`` is False for a best-so-far fit."""
+
+    m_raw: LagTimeMoments
+    a_raw: AmbiguityGrid
+    a_norm: AmbiguityGrid
+    params: ShrinkageParams
+    converged: bool
+    theta: ThresholdField
+    af_eb: AmbiguityGrid
+    m_eb: LagTimeMoments
+
+
+def shrink(x: TimeSeries, delta: float = 0.5) -> Shrunk:
+    """Demean, analytic signal, lag products, EMAF, normalize, fit, threshold, invert.
+
+    A fit that exhausts its budget does not raise: its best parameters are
+    used and ``converged`` is False.
+    """
+    m_raw = raw_moments(analytic_signal(demean(x)))
+    a_raw = emaf(m_raw)
+    a_norm = normalize(a_raw, normalization(x.n, x.dt, delta))
+    try:
+        params, converged = fit(a_norm), True
+    except FitConvergenceError as err:
+        params, converged = err.best, False
+    theta = threshold_field(params, a_norm)
+    af_eb = apply_threshold(a_raw, theta)
+    return Shrunk(m_raw, a_raw, a_norm, params, converged, theta, af_eb, invert_af(af_eb))

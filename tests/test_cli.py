@@ -28,6 +28,12 @@ ARTIFACTS = (
 )
 
 
+def assert_one_error_line(capsys, fragment: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err, err
+
+
 def read_summary(path) -> dict[str, str]:
     values = {}
     for line in path.read_text().splitlines():
@@ -72,6 +78,11 @@ class TestSimulate:
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "nosuch", "--out", str(tmp_path / "x.sig")]) == 2
         assert "nosuch" in capsys.readouterr().err
+
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "w.sig"
+        assert main(["simulate", "whitenoise", "--n", "16", "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "cannot write")
 
     def test_exit_code_crosses_process_boundary(self, tmp_path):
         # The child runs in tmp_path, where a relative PYTHONPATH (such as
@@ -198,7 +209,7 @@ class TestAnalyze:
         def no_fit(a):
             raise FitConvergenceError("search budget exhausted", best)
 
-        monkeypatch.setattr(cli, "fit", no_fit)
+        monkeypatch.setattr("ambishrink.shrinkage.fit", no_fit)
         outdir = tmp_path / "run"
         code = run_analyze(PipelineConfig(input="whitenoise", outdir=str(outdir), n=32))
         assert code == 3
@@ -208,6 +219,24 @@ class TestAnalyze:
         assert float(summary["vbar"]) == 1.0
         assert (outdir / "psi.txt").exists()
         assert not (outdir / "theta.mat").exists()
+
+    def test_uncreatable_outdir_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        outdir = blocker / "run"
+        assert main(["analyze", "--input", "whitenoise", "--n", "16", "--outdir", str(outdir)]) == 2
+        assert_one_error_line(capsys, "cannot create")
+
+    @pytest.mark.parametrize(
+        "samples",
+        [np.full(16, 3.0), 1e-200 * np.random.default_rng(1).standard_normal(16)],
+        ids=["constant", "amplitude-1e-200"],
+    )
+    def test_degenerate_record_exits_2(self, tmp_path, capsys, samples):
+        sig = tmp_path / "flat.sig"
+        write_signal(sig, TimeSeries(samples))
+        assert main(["analyze", "--input", str(sig), "--outdir", str(tmp_path / "r")]) == 2
+        assert_one_error_line(capsys, "zero magnitudes")
 
     def test_config_file_supplies_defaults_but_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -272,3 +301,17 @@ class TestRiskbench:
         )
         assert code == 2
         assert "nosuch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [4, 1])
+    def test_too_short_record_exits_2(self, tmp_path, capsys, n):
+        out = tmp_path / "b.txt"
+        code = main(["riskbench", "whitenoise", "--reps", "5", "--n", str(n), "--out", str(out)])
+        assert code == 2
+        assert_one_error_line(capsys, "at least 8")
+        assert not out.exists()
+
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "b.txt"
+        code = main(["riskbench", "whitenoise", "--reps", "1", "--n", "16", "--out", str(out)])
+        assert code == 2
+        assert_one_error_line(capsys, "cannot write")

@@ -8,7 +8,14 @@ from scipy.optimize import brentq
 from scipy.special import i0e, ndtri
 
 import ambishrink.shrinkage as shrinkage_module
-from ambishrink.ambiguity import AmbiguityGrid, emaf, normalization, normalize, raw_moments
+from ambishrink.ambiguity import (
+    AmbiguityGrid,
+    LagTimeMoments,
+    emaf,
+    normalization,
+    normalize,
+    raw_moments,
+)
 from ambishrink.covariance import invert_af
 from ambishrink.procgen import gen_white_noise
 from ambishrink.series import analytic_signal, demean
@@ -21,6 +28,7 @@ from ambishrink.shrinkage import (
     fit,
     marginal_nll,
     posterior_rho,
+    shrink,
     threshold_field,
 )
 
@@ -243,6 +251,43 @@ class TestFit:
         assert isinstance(best, ShrinkageParams)
         assert best.vbar == pytest.approx(np.exp(0.1))
         assert best.iterations == 10000
+
+
+class TestShrink:
+    def test_matches_the_stages_run_by_hand(self):
+        x = gen_white_noise(16, seed=4)
+        est = shrink(x, delta=0.3)
+        z = analytic_signal(demean(x))
+        a_raw = emaf(raw_moments(z))
+        a_norm = normalize(a_raw, normalization(16, 1.0, 0.3))
+        params = fit(a_norm)
+        theta = threshold_field(params, a_norm)
+        m_eb = invert_af(apply_threshold(a_raw, theta))
+        assert est.converged is True
+        assert est.params == params
+        np.testing.assert_array_equal(est.a_norm.entries, a_norm.entries)
+        np.testing.assert_array_equal(est.theta.theta, theta.theta)
+        np.testing.assert_array_equal(est.m_eb.entries, m_eb.entries)
+
+    def test_nonconvergence_returns_best_so_far(self, monkeypatch):
+        class FakeResult:
+            x = np.array([0.1, -2.0, 1.0])
+            fun = 123.0
+            nit = 10000
+            success = False
+
+        monkeypatch.setattr(
+            shrinkage_module, "minimize", lambda *args, **kwargs: FakeResult()
+        )
+        n = 16
+        est = shrink(gen_white_noise(n, seed=1))
+        assert est.converged is False
+        assert est.params.vbar == pytest.approx(np.exp(0.1))
+        assert est.params.iterations == 10000
+        assert est.theta.theta[n - 1, n] == 1.0
+        assert isinstance(est.m_eb, LagTimeMoments)
+        assert est.m_eb.entries.shape == (2 * n - 1, n)
+        assert np.all(np.isfinite(est.m_eb.entries))
 
 
 class TestPosteriorRho:
