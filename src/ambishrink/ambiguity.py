@@ -153,10 +153,11 @@ class AmbiguityGrid:
 
 @dataclass(frozen=True)
 class NormalizationField:
-    """Variance field ``kappa`` and bandwidth field ``ell`` on the ambiguity grid."""
+    """Variance field ``kappa`` and bandwidth field ``ell`` built with exponent ``delta``."""
 
     kappa: np.ndarray
     ell: np.ndarray
+    delta: float = 0.5
 
     def __post_init__(self) -> None:
         kappa = np.asarray(self.kappa, dtype=float)
@@ -174,7 +175,9 @@ class NormalizationField:
 def raw_moments(z: AnalyticSeries) -> LagTimeMoments:
     """Raw lag products ``z[t] * conj(z[t - tau])`` on the lag support."""
     entries = np.zeros((2 * z.n - 1, z.n), dtype=complex)
-    entries[lag_index(z.n)] = np.outer(z.samples, z.samples.conj())
+    # an overflowing product is reported by LagTimeMoments as non-finite entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries[lag_index(z.n)] = np.outer(z.samples, z.samples.conj())
     return LagTimeMoments(entries, dt=z.dt)
 
 
@@ -214,7 +217,7 @@ def normalization(n: int, dt: float = 1.0, delta: float = 0.5) -> NormalizationF
     band = np.maximum(1.0 / (2 * dt) - nus, 1.0 / (2 * n * dt))
     kappa = span ** (4 * delta - 1) * band / dt
     ell = 0.25 * span / np.maximum(0.5 - nus * dt, 1.0 / (2 * n))
-    return NormalizationField(kappa, ell)
+    return NormalizationField(kappa, ell, delta)
 
 
 def normalize(a: AmbiguityGrid, f: NormalizationField) -> AmbiguityGrid:
@@ -226,7 +229,7 @@ def normalize(a: AmbiguityGrid, f: NormalizationField) -> AmbiguityGrid:
             f"field shape {f.kappa.shape} does not match grid shape {a.entries.shape}"
         )
     return AmbiguityGrid(
-        a.entries / np.sqrt(f.kappa), dt=a.dt, normalized=True, delta=a.delta
+        a.entries / np.sqrt(f.kappa), dt=a.dt, normalized=True, delta=f.delta
     )
 
 
@@ -238,6 +241,8 @@ def denormalize(a: AmbiguityGrid, f: NormalizationField) -> AmbiguityGrid:
         raise ValueError(
             f"field shape {f.kappa.shape} does not match grid shape {a.entries.shape}"
         )
+    if f.delta != a.delta:
+        raise ValueError(f"grid was normalized with delta={a.delta!r}, field has {f.delta!r}")
     return AmbiguityGrid(
         a.entries * np.sqrt(f.kappa), dt=a.dt, normalized=False, delta=a.delta
     )

@@ -2,8 +2,9 @@
 
 Matrix files ("ambimat v1") are line-oriented: one header, one
 comma-separated line per row, then optional trailing comment lines that are
-preserved verbatim.  All floats are written with 17 significant digits so a
-parse/re-serialize cycle is byte-identical and values round-trip exactly.
+preserved verbatim.  Every value is written as ``%.17g`` (a complex value as
+``%.17g%+.17gj``), so a parse/re-serialize cycle is byte-identical and values
+round-trip exactly; rows are formatted and streamed to the file one at a time.
 """
 
 from __future__ import annotations
@@ -34,12 +35,6 @@ def _fmt_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_complex(z: complex) -> str:
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise ValueError(f"cannot serialize non-finite value {z!r}")
-    return format(z.real, ".17g") + format(z.imag, "+.17g") + "j"
-
-
 def write_matrix(
     path: str | os.PathLike,
     array: np.ndarray,
@@ -54,19 +49,26 @@ def write_matrix(
     if array.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {array.shape}")
     rows, cols = array.shape
-    if np.iscomplexobj(array):
-        kind, fmt = "complex", _fmt_complex
-    else:
-        kind, fmt = "real", _fmt_real
-    lines = [f"{_MATRIX_MAGIC} {rows} {cols} {kind}"]
-    for row in array:
-        lines.append(",".join(fmt(v) for v in row))
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite value {array[~finite][0]!r}")
+    trailing = list(trailing)
     for comment in trailing:
         if not comment.startswith("#"):
             raise ValueError(f"trailing line must start with '#': {comment!r}")
-        lines.append(comment)
+    if np.iscomplexobj(array):
+        kind, cell = "complex", "%.17g%+.17gj"
+        values = np.ascontiguousarray(array, dtype=complex).view(float)
+    else:
+        kind, cell = "real", "%.17g"
+        values = np.asarray(array, dtype=float)
+    row_fmt = ",".join([cell] * cols) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{_MATRIX_MAGIC} {rows} {cols} {kind}\n")
+        for row in values:
+            fh.write(row_fmt % tuple(row.tolist()))
+        for comment in trailing:
+            fh.write(comment + "\n")
 
 
 def read_matrix(path: str | os.PathLike) -> tuple[np.ndarray, list[str]]:

@@ -184,6 +184,15 @@ class TestNormalize:
         np.testing.assert_allclose(back.entries, a.entries, atol=1e-12 * scale)
         assert not back.normalized
 
+    def test_delta_of_the_field_is_recorded_and_checked(self):
+        a = pipeline_grid(16, 4)
+        f = normalization(16, a.dt, 0.3)
+        an = normalize(a, f)
+        assert an.delta == 0.3
+        assert denormalize(an, f).delta == 0.3
+        with pytest.raises(ValueError, match="delta"):
+            denormalize(an, normalization(16, a.dt, 0.5))
+
     def test_double_normalization_rejected(self):
         a = pipeline_grid(8, 2)
         f = normalization(8, a.dt, 0.5)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,14 @@ class TestAnalyze:
         write_signal(sig, TimeSeries(samples))
         assert main(["analyze", "--input", str(sig), "--outdir", str(tmp_path / "r")]) == 2
         assert_one_error_line(capsys, "zero magnitudes")
+
+    def test_amplitude_1e200_exits_2_without_warnings(self, tmp_path, capsys):
+        sig = tmp_path / "loud.sig"
+        write_signal(sig, TimeSeries(1e200 * np.random.default_rng(1).standard_normal(16)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--input", str(sig), "--outdir", str(tmp_path / "r")]) == 2
+        assert_one_error_line(capsys, "NaN or infinity")
 
     def test_config_file_supplies_defaults_but_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -269,6 +269,10 @@ class TestShrink:
         np.testing.assert_array_equal(est.theta.theta, theta.theta)
         np.testing.assert_array_equal(est.m_eb.entries, m_eb.entries)
 
+    def test_normalized_grid_records_its_delta(self):
+        est = shrink(gen_white_noise(16, seed=1), 0.3)
+        assert est.a_norm.delta == 0.3
+
     def test_nonconvergence_returns_best_so_far(self, monkeypatch):
         class FakeResult:
             x = np.array([0.1, -2.0, 1.0])

@@ -16,6 +16,8 @@ from ambishrink.textio import (
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e16, -1e16]
+edge_floats = st.sampled_from(EDGE_VALUES)
 
 
 class TestMatrixRoundTrip:
@@ -69,6 +71,48 @@ class TestMatrixRoundTrip:
         np.testing.assert_array_equal(back, a)
 
 
+def reference_matrix_text(a: np.ndarray) -> str:
+    """The ambimat v1 text of ``a`` built one ``format`` call per value."""
+    kind = "complex" if np.iscomplexobj(a) else "real"
+
+    def cell(v):
+        if kind == "complex":
+            return format(v.real, ".17g") + format(v.imag, "+.17g") + "j"
+        return format(v, ".17g")
+
+    rows, cols = a.shape
+    lines = [f"# ambimat v1 {rows} {cols} {kind}"]
+    lines += [",".join(cell(v) for v in row.tolist()) for row in a]
+    return "\n".join(lines) + "\n"
+
+
+class TestMatrixBytes:
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        shape=st.sampled_from([(1, 1), (1, 5), (4, 1), (3, 3), (2, 7), (6, 2)]),
+        complex_kind=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_per_value_format(self, tmp_path, shape, complex_kind, data):
+        size = shape[0] * shape[1] * (2 if complex_kind else 1)
+        values = data.draw(st.lists(finite_floats | edge_floats, min_size=size, max_size=size))
+        a = np.array(values, dtype=float)
+        if complex_kind:
+            a = a.view(complex)  # exact (re, im) pairs, keeping a signed zero imaginary part
+        a = a.reshape(shape)
+        path = tmp_path / "m.mat"
+        write_matrix(path, a)
+        assert path.read_text() == reference_matrix_text(a)
+
+    @pytest.mark.parametrize("complex_kind", [False, True], ids=["real", "complex"])
+    def test_edge_values_match_per_value_format(self, tmp_path, complex_kind):
+        a = np.array(EDGE_VALUES + EDGE_VALUES[::-1])
+        a = (a.view(complex) if complex_kind else a).reshape(2, -1)
+        path = tmp_path / "m.mat"
+        write_matrix(path, a)
+        assert path.read_text() == reference_matrix_text(a)
+
+
 class TestMatrixErrors:
     def test_rejects_one_dimensional_input(self, tmp_path):
         with pytest.raises(ValueError, match="2-d"):
@@ -77,6 +121,17 @@ class TestMatrixErrors:
     def test_rejects_nonfinite_values(self, tmp_path):
         with pytest.raises(ValueError, match="non-finite"):
             write_matrix(tmp_path / "m.mat", np.array([[np.nan, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.array([[1.0, 2.0], [3.0, np.inf]]), np.array([[1 + 1j], [complex(2.0, np.nan)]])],
+        ids=["real-inf", "complex-nan"],
+    )
+    def test_nonfinite_value_leaves_no_file(self, tmp_path, a):
+        path = tmp_path / "m.mat"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_matrix(path, a)
+        assert not path.exists()
 
     def test_rejects_uncommented_trailing_line(self, tmp_path):
         with pytest.raises(ValueError, match="#"):
