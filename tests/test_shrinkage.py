@@ -4,8 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import i0e, ndtri
+from scipy.optimize import brentq, minimize
+from scipy.special import expit, i0e, logit, ndtri
 
 import ambishrink.shrinkage as shrinkage_module
 from ambishrink.ambiguity import (
@@ -17,7 +17,7 @@ from ambishrink.ambiguity import (
     raw_moments,
 )
 from ambishrink.covariance import invert_af
-from ambishrink.procgen import gen_white_noise
+from ambishrink.procgen import gen_aggregation, gen_white_noise
 from ambishrink.series import analytic_signal, demean
 from ambishrink.shrinkage import (
     FitConvergenceError,
@@ -54,6 +54,24 @@ def whitenoise_pipeline_grid(n: int, seed: int) -> AmbiguityGrid:
     z = analytic_signal(demean(gen_white_noise(n, seed=seed)))
     a = emaf(raw_moments(z))
     return normalize(a, normalization(n, a.dt, 0.5))
+
+
+def aggregation_grid(n: int, seed: int) -> AmbiguityGrid:
+    z = analytic_signal(demean(gen_aggregation(n, seed=seed)))
+    a = emaf(raw_moments(z))
+    return normalize(a, normalization(n, a.dt, 0.5))
+
+
+def fit_objective(monkeypatch, a: AmbiguityGrid):
+    """Run :func:`fit` on ``a`` and return its result, objective and start point."""
+    seen = {}
+
+    def spy(fun, x0, **kwargs):
+        seen["fun"], seen["x0"] = fun, np.array(x0)
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(shrinkage_module, "minimize", spy)
+    return fit(a), seen["fun"], seen["x0"]
 
 
 def draw_mixture_magnitudes(m: int, vbar: float, rho: float, sigma2: float, seed: int) -> np.ndarray:
@@ -252,6 +270,64 @@ class TestFit:
         assert best.vbar == pytest.approx(np.exp(0.1))
         assert best.iterations == 10000
 
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_fit_cells_are_the_masked_central_block(self, n):
+        a = mixture_grid(n, 1.0, 0.05, 50.0, seed=3)
+        taus = np.arange(-(n - 1), n)
+        mask = np.outer(np.abs(taus) <= n // 2, np.abs(np.arange(-n, n)) <= n // 2)
+        mask[n - 1, n] = False
+        weights = np.broadcast_to(((n - np.abs(taus)) / (2.0 * n))[:, None], mask.shape)
+        q, w = shrinkage_module._fit_cells(a)
+        np.testing.assert_array_equal(q, np.abs(a.entries)[mask])
+        np.testing.assert_array_equal(w, weights[mask])
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [0.0, logit(1e-6), np.log(50.0)],
+            [0.0, 0.0, np.log(50.0)],
+            [np.log(2.0), logit(0.05), np.log(1e-4)],
+            [-0.5, -3.0, 1.0],
+        ],
+        ids=["rho-1e-6", "rho-half", "sigma2-much-below-vbar", "generic"],
+    )
+    def test_gradient_matches_central_differences(self, monkeypatch, x):
+        _, objective, _ = fit_objective(monkeypatch, mixture_grid(16, 1.0, 0.05, 50.0, seed=2))
+        x = np.array(x)
+        _, grad = objective(x)
+        h = 1e-5
+        numeric = [
+            (objective(x + h * e)[0] - objective(x - h * e)[0]) / (2 * h) for e in np.eye(3)
+        ]
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-7)
+
+    def test_nll_is_the_mixture_likelihood_and_no_worse_than_nelder_mead(self, monkeypatch):
+        a = aggregation_grid(64, seed=0)
+        params, _, x0 = fit_objective(monkeypatch, a)
+        q, w = shrinkage_module._fit_cells(a)
+        const = -np.sum(w * np.log(2.0 * q))
+        terms = shrinkage_module._log_density_terms
+
+        def nll(vbar, rho, sigma2):
+            return const - np.sum(w * terms(vbar, rho, sigma2, q * q))
+
+        assert params.nll == pytest.approx(nll(params.vbar, params.rho, params.sigma2), rel=1e-12)
+        reference = minimize(
+            lambda x: nll(np.exp(x[0]), expit(x[1]), np.exp(x[2])),
+            x0,
+            method="Nelder-Mead",
+            options={"xatol": 1e-6, "fatol": 1e-7, "maxiter": 10000, "maxfev": 20000},
+        )
+        assert reference.success
+        assert params.nll <= reference.fun + 1e-9 * abs(reference.fun)
+
+    def test_converges_on_aggregation_and_white_noise_records(self):
+        # fit raises FitConvergenceError for any search that stops unconverged
+        for seed in range(60):
+            fit(aggregation_grid(64, seed))
+        for seed in range(100):
+            fit(whitenoise_pipeline_grid(64, seed))
+
 
 class TestShrink:
     def test_matches_the_stages_run_by_hand(self):
@@ -312,6 +388,13 @@ class TestPosteriorRho:
         assert abs(
             posterior_rho(params, 2.6) - posterior_rho_highprec(1, "0.1", 100, "2.6")
         ) < 1e-12
+
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_scale_equivariant_at_extreme_scales(self, c):
+        qs = np.array([0.5, 2.6, 10.0])
+        expected = posterior_rho(ShrinkageParams(1.0, 0.1, 100.0), qs)
+        scaled = posterior_rho(ShrinkageParams(c, 0.1, 100.0 * c), np.sqrt(c) * qs)
+        np.testing.assert_allclose(scaled, expected, rtol=1e-10)
 
     def test_vectorized_evaluation(self):
         params = ShrinkageParams(1.0, 0.2, 10.0)
