@@ -13,9 +13,15 @@ that is exactly zero for coefficients indistinguishable from background.
 
 from __future__ import annotations
 
+import ctypes
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.optimize import minimize
 from scipy.special import expit, logit, ndtr, ndtri
 
@@ -176,6 +182,43 @@ def _fit_cells(a: AmbiguityGrid) -> tuple[np.ndarray, np.ndarray]:
     return np.delete(np.abs(block).ravel(), origin), np.delete(weights, origin)
 
 
+@cache
+def _scipy_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS bundled with scipy, if it has a thread-local thread cap, else None."""
+    root = Path(scipy.__file__).parent
+    # Linux and Windows wheels keep it in scipy.libs, macOS wheels in scipy/.dylibs.
+    bundled = [*root.parent.glob("scipy.libs/libscipy_openblas*"), *root.glob(".dylibs/libscipy_openblas*")]
+    for path in sorted(bundled):
+        try:
+            lib = ctypes.CDLL(str(path))
+            lib.openblas_set_num_threads_local.restype = ctypes.c_int
+            return lib
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Cap scipy's OpenBLAS at one thread for the calling thread inside the block.
+
+    L-BFGS-B calls into OpenBLAS on every iteration, even for three
+    parameters.  With two threads allowed, a fit takes the same wall time
+    but twice the CPU time: the pool's workers spin on a second core, so
+    how long a fit takes on a shared machine depends on what else runs
+    there.
+    """
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    previous = lib.openblas_set_num_threads_local(1)
+    try:
+        yield
+    finally:
+        lib.openblas_set_num_threads_local(previous)
+
+
 def fit(a: AmbiguityGrid) -> ShrinkageParams:
     """Weighted maximum-likelihood mixture fit to the grid magnitudes.
 
@@ -188,7 +231,8 @@ def fit(a: AmbiguityGrid) -> ShrinkageParams:
     or the largest gradient component drops below 1e-8, with a budget of
     10000 iterations.  A search that stops any other way raises
     :class:`FitConvergenceError` carrying the best parameters found.  The
-    returned ``nll`` is the attained weighted objective.
+    returned ``nll`` is the attained weighted objective.  The search runs
+    with scipy's OpenBLAS held to one thread (see :func:`_one_blas_thread`).
     """
     if not a.normalized:
         raise ValueError("fit expects a normalized grid")
@@ -227,13 +271,14 @@ def fit(a: AmbiguityGrid) -> ShrinkageParams:
     tail_mean = float(np.mean(np.partition(qsq, qsq.size - top)[-top:]))
     sigma2_0 = max(tail_mean - vbar0, vbar0)
     x0 = np.array([np.log(vbar0), logit(0.01), np.log(sigma2_0)])
-    res = minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"ftol": 1e-12, "gtol": 1e-8, "maxiter": 10000},
-    )
+    with _one_blas_thread():
+        res = minimize(
+            objective,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            options={"ftol": 1e-12, "gtol": 1e-8, "maxiter": 10000},
+        )
     params = ShrinkageParams(
         vbar=float(np.exp(res.x[0])),
         rho=float(expit(res.x[1])),

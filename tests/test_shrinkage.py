@@ -329,6 +329,38 @@ class TestFit:
             fit(whitenoise_pipeline_grid(64, seed))
 
 
+    def test_search_runs_scipy_blas_on_one_thread(self, monkeypatch):
+        lib = shrinkage_module._scipy_openblas()
+        if lib is None:
+            pytest.skip("scipy bundles no OpenBLAS with a thread-local thread cap")
+
+        def cap() -> int:
+            current = lib.openblas_set_num_threads_local(1)
+            lib.openblas_set_num_threads_local(current)
+            return current
+
+        inside = []
+
+        def spy(*args, **kwargs):
+            inside.append(cap())
+            if len(inside) == 2:
+                raise RuntimeError("search failed")
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(shrinkage_module, "minimize", spy)
+        outer = lib.openblas_set_num_threads_local(2)
+        try:
+            fit(aggregation_grid(32, seed=0))
+            after_fit = cap()
+            with pytest.raises(RuntimeError, match="search failed"):
+                fit(aggregation_grid(32, seed=1))
+            after_error = cap()
+        finally:
+            lib.openblas_set_num_threads_local(outer)
+        assert inside == [1, 1]
+        assert (after_fit, after_error) == (2, 2)
+
+
 class TestShrink:
     def test_matches_the_stages_run_by_hand(self):
         x = gen_white_noise(16, seed=4)
