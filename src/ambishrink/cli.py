@@ -9,8 +9,10 @@ preset over Monte Carlo replicates.
 
 Everything written is plain text with 17 significant digits, so artifacts
 round-trip bitwise through the bundled parsers and diff cleanly across
-runs.  Exit codes: 0 on success, 2 for usage or input errors, 3 when the
-mixture fit fails to converge (best-so-far parameters are still written).
+runs.  The shrunk grids are written as rows of their kept cells and the QQ
+diagnostics as at most ``QQ_POINTS`` order statistics.  Exit codes: 0 on
+success, 2 for usage or input errors, 3 when the mixture fit fails to
+converge (best-so-far parameters are still written).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .covariance import assemble, correct
-from .diagnostics import qq_normalized_af, risk_report, variance_reduction_probe
+from .diagnostics import qq_normalized_af, qq_ranks, risk_report, variance_reduction_probe
 from .procgen import (
     TheoreticalCovariance,
     chirp_filter_process,
@@ -180,6 +182,21 @@ def _summary_items(cfg: PipelineConfig, n: int, **values: float | int | str) -> 
     return items
 
 
+def _write_shrunk(outdir: Path, theta: np.ndarray, af_eb: np.ndarray) -> None:
+    """Write ``theta.mat`` and ``af_eb.mat`` as sparse rows of the cells with theta > 0.
+
+    Each row is ``(tau, k, value)`` with ``tau``/``k`` as in
+    :meth:`AmbiguityGrid.at`, in row-major grid order; every other cell is
+    zero.  A trailing ``# dense shape=<rows>x<cols>`` line names the grid.
+    """
+    rows, cols = np.nonzero(theta > 0)
+    n = theta.shape[1] // 2
+    shape = [f"# dense shape={theta.shape[0]}x{theta.shape[1]}"]
+    for name, grid in (("theta.mat", theta), ("af_eb.mat", af_eb)):
+        table = np.column_stack([rows - (n - 1), cols - n, grid[rows, cols]])
+        write_matrix(outdir / name, table, trailing=shape)
+
+
 def _zero_artifacts(cfg: PipelineConfig, x: TimeSeries, outdir: Path) -> None:
     """Degenerate all-zero outputs for an identically zero input signal."""
     n = x.n
@@ -187,8 +204,7 @@ def _zero_artifacts(cfg: PipelineConfig, x: TimeSeries, outdir: Path) -> None:
     write_matrix(outdir / "emaf.mat", czeros)
     with open(outdir / "psi.txt", "w") as fh:
         fh.write(format_psi_record(0.0, 0.0, 0.0, 0.0, 0) + "\n")
-    write_matrix(outdir / "theta.mat", np.zeros((2 * n - 1, 2 * n)))
-    write_matrix(outdir / "af_eb.mat", czeros)
+    _write_shrunk(outdir, np.zeros((2 * n - 1, 2 * n)), czeros)
     write_matrix(outdir / "moments_eb.mat", np.zeros((2 * n - 1, n), dtype=complex))
     write_matrix(
         outdir / "cov_eb.mat",
@@ -200,9 +216,9 @@ def _zero_artifacts(cfg: PipelineConfig, x: TimeSeries, outdir: Path) -> None:
         np.zeros((n, 2 * n), dtype=complex),
         trailing=[f"# tfr alpha={_fmt_real(cfg.alpha)} kernel={cfg.kernel}"],
     )
-    m = (2 * n - 1) * 2 * n - 1
+    qq_rows = qq_ranks((2 * n - 1) * 2 * n - 1).size
     for name, tag in (("qq_re.txt", "real"), ("qq_im.txt", "imaginary")):
-        write_matrix(outdir / name, np.zeros((m, 2)), trailing=[f"# component={tag}"])
+        write_matrix(outdir / name, np.zeros((qq_rows, 2)), trailing=[f"# component={tag}"])
     _write_summary(
         outdir / "summary.txt",
         _summary_items(
@@ -289,8 +305,7 @@ def run_analyze(cfg: PipelineConfig) -> int:
         print("error: mixture fit did not converge; best-so-far written", file=sys.stderr)
         return 3
 
-    write_matrix(outdir / "theta.mat", est.theta.theta)
-    write_matrix(outdir / "af_eb.mat", est.af_eb.entries)
+    _write_shrunk(outdir, est.theta.theta, est.af_eb.entries)
     write_matrix(outdir / "moments_eb.mat", est.m_eb.entries)
     cov_est = assemble(est.m_eb)
     cov_fixed = correct(cov_est, cfg.correction)

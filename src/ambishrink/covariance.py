@@ -72,15 +72,18 @@ def invert_af(a: AmbiguityGrid) -> LagTimeMoments:
 
     ``m[tau, t] = 1/(2 n dt) * sum_k a[tau, nu_k] exp(2i pi nu_k t dt)`` for
     ``t`` on the lag support; entries off the support are zeroed so the
-    result is a valid lag-time moment grid.  Normalized grids must be
-    denormalized first.
+    result is a valid lag-time moment grid.  Only the rows holding a nonzero
+    coefficient are transformed; the others invert to exact zeros.
+    Normalized grids must be denormalized first.
     """
     if a.normalized:
         raise ValueError("grid is normalized; denormalize before inverting")
     n = a.n
-    spectra = np.fft.ifftshift(a.entries, axes=1)
+    live = np.flatnonzero(np.any(a.entries != 0, axis=1))
+    spectra = np.fft.ifftshift(a.entries[live], axes=1)
     rows = np.fft.ifft(spectra, axis=1) / a.dt
-    entries = rows[:, :n] * lag_support_mask(n)
+    entries = np.zeros((2 * n - 1, n), dtype=complex)
+    entries[live] = rows[:, :n] * lag_support_mask(n)[live]
     return LagTimeMoments(entries, dt=a.dt)
 
 

@@ -20,9 +20,11 @@ from .procgen import TheoreticalCovariance, gen_white_noise
 from .shrinkage import shrink
 
 __all__ = [
+    "QQ_POINTS",
     "QQData",
     "RiskReport",
     "qq_normalized_af",
+    "qq_ranks",
     "risk_report",
     "variance_reduction_probe",
 ]
@@ -76,14 +78,32 @@ class RiskReport:
         object.__setattr__(self, "frobenius_ratio", float(self.frobenius_ratio))
 
 
-def qq_normalized_af(a: AmbiguityGrid, vbar: float) -> tuple[QQData, QQData]:
-    """QQ data of the real and imaginary parts of a normalized grid.
+QQ_POINTS = 1001
 
-    All off-origin coefficients are standardized by ``sqrt(vbar / 2)``, the
-    per-component standard deviation the background model implies, sorted,
-    and paired with standard-normal quantiles at plotting positions
-    ``(i - 0.5) / m``.  Under a pure-noise grid both components should hug
-    the identity line; signal shows up as heavy extreme quantiles.
+
+def qq_ranks(count: int) -> np.ndarray:
+    """Zero-based ranks of the order statistics a QQ plot of ``count`` values keeps.
+
+    All ``count`` ranks up to :data:`QQ_POINTS` values; beyond that the
+    :data:`QQ_POINTS` ranks ``floor(i (count - 1) / (QQ_POINTS - 1))``,
+    evenly spaced from the first to the last, so both extremes are kept.
+    """
+    if count <= QQ_POINTS:
+        return np.arange(count)
+    return np.arange(QQ_POINTS) * (count - 1) // (QQ_POINTS - 1)
+
+
+def qq_normalized_af(a: AmbiguityGrid, vbar: float) -> tuple[QQData, QQData]:
+    """Plot-sized QQ data of the real and imaginary parts of a normalized grid.
+
+    All ``m`` off-origin coefficients are standardized by ``sqrt(vbar / 2)``,
+    the per-component standard deviation the background model implies, and
+    sorted.  The order statistics at :func:`qq_ranks` ``(m)`` are kept, each
+    paired with the standard-normal quantile at its own plotting position
+    ``(i - 0.5) / m`` (``i = rank + 1``), so every kept pair is exactly the
+    pair the full QQ plot holds at that rank.  Under a pure-noise grid both
+    components should hug the identity line; signal shows up as heavy
+    extreme quantiles.
     """
     if not a.normalized:
         raise ValueError("qq_normalized_af expects a normalized grid")
@@ -95,10 +115,11 @@ def qq_normalized_af(a: AmbiguityGrid, vbar: float) -> tuple[QQData, QQData]:
     if coeffs.size < 10:
         raise ValueError(f"need at least 10 coefficients, got {coeffs.size}")
     scale = np.sqrt(vbar / 2.0)
-    positions = ndtri((np.arange(1, coeffs.size + 1) - 0.5) / coeffs.size)
+    ranks = qq_ranks(coeffs.size)
+    positions = ndtri((ranks + 0.5) / coeffs.size)
 
     def one(component: np.ndarray, tag: str) -> QQData:
-        return QQData(np.sort(component / scale), positions, tag)
+        return QQData(np.sort(component / scale)[ranks], positions, tag)
 
     return one(coeffs.real, "real"), one(coeffs.imag, "imaginary")
 

@@ -5,6 +5,9 @@ comma-separated line per row, then optional trailing comment lines that are
 preserved verbatim.  Every value is written as ``%.17g`` (a complex value as
 ``%.17g%+.17gj``), so a parse/re-serialize cycle is byte-identical and values
 round-trip exactly; rows are formatted and streamed to the file one at a time.
+A matrix may have zero rows.  The format stores tables as well as grids:
+``analyze`` writes its shrunk grids as ``(tau, k, value)`` rows of the kept
+cells followed by a ``# dense shape=<rows>x<cols>`` line (see the README).
 """
 
 from __future__ import annotations

@@ -94,6 +94,8 @@ def _interpolated_moment_rows(m: LagTimeMoments, alpha: float) -> np.ndarray:
     estimator.  For ``alpha = 1/2`` the argument is always on-grid and the
     rows come back unchanged.
     """
+    if alpha == 0.5:
+        return m.entries
     n = m.n
     taus = np.arange(-(n - 1), n, dtype=float)
     base = np.arange(n)[None, :] + (0.5 - alpha) * taus[:, None]

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import ambishrink.cli as cli
 from ambishrink.cli import PipelineConfig, main, run_analyze
+from ambishrink.procgen import gen_aggregation
 from ambishrink.series import TimeSeries
-from ambishrink.shrinkage import FitConvergenceError, ShrinkageParams
+from ambishrink.shrinkage import FitConvergenceError, ShrinkageParams, shrink
 from ambishrink.textio import read_matrix, read_signal, write_matrix, write_signal
 
 ARTIFACTS = (
@@ -270,6 +272,78 @@ class TestAnalyze:
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["analyze", "--outdir", str(tmp_path / "r")]) == 2
         assert "--input" in capsys.readouterr().err
+
+
+def dense_from_sparse(path) -> np.ndarray:
+    """Rebuild the full grid from a sparse ``(tau, k, value)`` artifact."""
+    table, trailing = read_matrix(path)
+    assert trailing[-1].startswith("# dense shape=")
+    rows, cols = map(int, trailing[-1].split("=")[1].split("x"))
+    grid = np.zeros((rows, cols), dtype=table.dtype)
+    n = cols // 2
+    tau, k = table[:, 0].real.astype(int), table[:, 1].real.astype(int)
+    grid[tau + n - 1, k + n] = table[:, 2]
+    return grid
+
+
+class TestCompactArtifacts:
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("compact")
+        sig = root / "agg.sig"
+        write_signal(sig, gen_aggregation(64, seed=4))
+        outdir = root / "run"
+        assert main(["analyze", "--input", str(sig), "--outdir", str(outdir)]) == 0
+        return outdir, shrink(read_signal(sig))
+
+    @pytest.mark.parametrize("name, part", [("qq_re.txt", "real"), ("qq_im.txt", "imag")])
+    def test_qq_rows_are_rows_of_the_full_qq(self, run, name, part):
+        outdir, est = run
+        n = est.a_norm.n
+        coeffs = np.delete(est.a_norm.entries.ravel(), (n - 1) * 2 * n + n)
+        m = coeffs.size
+        assert m > 1001
+        full = np.column_stack(
+            [
+                ndtri((np.arange(1, m + 1) - 0.5) / m),
+                np.sort(getattr(coeffs, part) / np.sqrt(est.params.vbar / 2.0)),
+            ]
+        )
+        data, _ = read_matrix(outdir / name)
+        assert 2 <= data.shape[0] <= 1001
+        ranks = np.searchsorted(full[:, 0], data[:, 0])
+        assert ranks[0] == 0 and ranks[-1] == m - 1
+        assert np.all(np.diff(ranks) > 0)
+        np.testing.assert_array_equal(full[ranks].view(np.uint64), data.view(np.uint64))
+
+    def test_theta_has_one_row_per_kept_cell(self, run):
+        outdir, est = run
+        table, _ = read_matrix(outdir / "theta.mat")
+        assert table.shape == (np.count_nonzero(est.theta.theta > 0), 3)
+
+    def test_dense_grids_rebuild_bitwise(self, run):
+        outdir, est = run
+        theta = dense_from_sparse(outdir / "theta.mat")
+        np.testing.assert_array_equal(theta.view(np.uint64), est.theta.theta.view(np.uint64))
+        # af_eb holds -0.0 where theta zeroed a negative part; the file drops those
+        # cells, so compare with zeros of one sign (x + 0.0 maps -0.0 to +0.0)
+        af_eb = dense_from_sparse(outdir / "af_eb.mat")
+        np.testing.assert_array_equal(
+            af_eb.view(np.uint64), (est.af_eb.entries + 0.0).view(np.uint64)
+        )
+
+    def test_zero_signal_layouts_match_a_nonzero_run(self, tmp_path):
+        sig = tmp_path / "zero.sig"
+        write_signal(sig, TimeSeries(np.zeros(32)))
+        zero, noise = tmp_path / "zero", tmp_path / "noise"
+        assert main(["analyze", "--input", str(sig), "--outdir", str(zero)]) == 0
+        assert main(["analyze", "--input", "whitenoise", "--n", "32", "--outdir", str(noise)]) == 0
+        for name in ("theta.mat", "af_eb.mat"):
+            table, trailing = read_matrix(zero / name)
+            assert table.shape == (0, 3)
+            assert trailing == ["# dense shape=63x64"]
+        for name in ("qq_re.txt", "qq_im.txt"):
+            assert {read_matrix(d / name)[0].shape for d in (zero, noise)} == {(1001, 2)}
 
 
 class TestRiskbench:

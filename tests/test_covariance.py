@@ -7,6 +7,7 @@ from ambishrink.ambiguity import (
     AmbiguityGrid,
     LagTimeMoments,
     emaf,
+    lag_support_mask,
     normalization,
     normalize,
     raw_moments,
@@ -68,6 +69,30 @@ class TestInvertAf:
                     a.entries[tau + n - 1] * np.exp(2j * np.pi * nus * t * dt)
                 ) / (2 * n * dt)
                 assert out.at(tau, t) == pytest.approx(direct, abs=1e-10)
+
+    def test_sparse_rows_match_full_batch_bitwise(self):
+        n, dt = 16, 0.5
+        rng = np.random.default_rng(5)
+        entries = rng.standard_normal((2 * n - 1, 2 * n)) + 1j * rng.standard_normal((2 * n - 1, 2 * n))
+        live = [0, 3, 4, 11, n - 1, 2 * n - 3, 2 * n - 2]
+        dead = np.setdiff1d(np.arange(2 * n - 1), live)
+        # zeroed cells carry both zero signs, as a thresholded grid does
+        entries[dead] *= 0.0
+        entries[live, 5] = 0.0
+        entries[3, :-1] = 0.0  # a row live through its last cell alone
+        assert np.any(np.signbit(entries[dead].view(float)))
+        a = AmbiguityGrid(entries, dt=dt)
+        full = np.fft.ifft(np.fft.ifftshift(entries, axes=1), axis=1) / dt
+        expected = full[:, :n] * lag_support_mask(n)
+        got = invert_af(a).entries
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(got[dead].view(np.uint64), 0)
+
+    def test_all_zero_grid_inverts_to_positive_zeros(self):
+        a = AmbiguityGrid(np.full((15, 16), complex(-0.0, -0.0)), dt=2.0)
+        m = invert_af(a)
+        assert m.entries.shape == (15, 8)
+        np.testing.assert_array_equal(m.entries.view(np.uint64), 0)
 
     def test_rejects_normalized_grid(self):
         m = raw_moments(random_series(8, 4))

@@ -112,6 +112,16 @@ class TestMatrixBytes:
         write_matrix(path, a)
         assert path.read_text() == reference_matrix_text(a)
 
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    def test_empty_matrix_with_trailing_line_round_trips(self, tmp_path, dtype):
+        p1, p2 = tmp_path / "a.mat", tmp_path / "b.mat"
+        write_matrix(p1, np.zeros((0, 3), dtype=dtype), trailing=["# dense shape=31x32"])
+        back, trailing = read_matrix(p1)
+        assert back.shape == (0, 3) and back.dtype == dtype
+        assert trailing == ["# dense shape=31x32"]
+        write_matrix(p2, back, trailing=trailing)
+        assert p1.read_bytes() == p2.read_bytes()
+
 
 class TestMatrixErrors:
     def test_rejects_one_dimensional_input(self, tmp_path):

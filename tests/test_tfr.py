@@ -5,7 +5,8 @@ import pytest
 
 from ambishrink.ambiguity import AmbiguityGrid, LagTimeMoments, lag_support_mask, raw_moments
 from ambishrink.series import AnalyticSeries, analytic_signal, demean
-from ambishrink.procgen import gen_white_noise
+from ambishrink.procgen import gen_aggregation, gen_white_noise
+from ambishrink.shrinkage import shrink
 from ambishrink.tfr import TFRGrid, bilinear, dual_frequency, spectrogram, window_bank
 
 
@@ -130,6 +131,26 @@ class TestBilinear:
         surface = bilinear(m, alpha=0.5)
         expected = bilinear_reference(m, alpha=0.5)
         np.testing.assert_allclose(surface.values, expected, atol=1e-10)
+
+    def test_rihaczek_skips_interpolation_bitwise(self):
+        # shrunk moments hold -0.0 off the lag support, which the blend below
+        # may turn into +0.0; the surface must not depend on it
+        m = shrink(gen_aggregation(48, seed=2)).m_eb
+        n = m.n
+        off = m.entries[~lag_support_mask(n)].view(float)
+        assert np.any(np.signbit(off))
+        # the blend at base time t: frac = 0, left = m[tau, t], right = m[tau, t + 1]
+        right = np.zeros_like(m.entries)
+        right[:, :-1] = m.entries[:, 1:]
+        frac = np.zeros(m.entries.shape)
+        rows = (1.0 - frac) * m.entries + frac * right
+        padded = np.zeros((2 * n, n), dtype=complex)
+        padded[:n] = rows[n - 1 :]
+        padded[n + 1 :] = rows[: n - 1]
+        expected = m.dt * np.fft.fftshift(np.fft.fft(padded, axis=0), axes=0).T
+        got = np.ascontiguousarray(bilinear(m, alpha=0.5).values)
+        expected = np.ascontiguousarray(expected)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_custom_delta_kernel_equals_default(self):
         m = random_moments(5, seed=3, dt=0.5)
