@@ -85,9 +85,6 @@ class LagTimeMoments:
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "n", cols)
 
-    def tau_values(self) -> np.ndarray:
-        return np.arange(-(self.n - 1), self.n)
-
     def support_mask(self) -> np.ndarray:
         return lag_support_mask(self.n)
 
@@ -136,12 +133,6 @@ class AmbiguityGrid:
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "n", cols // 2)
 
-    def tau_values(self) -> np.ndarray:
-        return np.arange(-(self.n - 1), self.n)
-
-    def nu_values(self) -> np.ndarray:
-        return np.arange(-self.n, self.n) / (2 * self.n * self.dt)
-
     def at(self, tau: int, k: int) -> complex:
         """Entry for lag ``tau`` and dual-frequency index ``k``."""
         if not -self.n < tau < self.n:
@@ -153,23 +144,21 @@ class AmbiguityGrid:
 
 @dataclass(frozen=True)
 class NormalizationField:
-    """Variance field ``kappa`` and bandwidth field ``ell`` built with exponent ``delta``."""
+    """Variance field ``kappa`` of the white-noise coefficients, built with exponent ``delta``.
+
+    ``kappa`` is a 2-d grid of finite, strictly positive values.
+    """
 
     kappa: np.ndarray
-    ell: np.ndarray
     delta: float = 0.5
 
     def __post_init__(self) -> None:
         kappa = np.asarray(self.kappa, dtype=float)
-        ell = np.asarray(self.ell, dtype=float)
-        if kappa.shape != ell.shape or kappa.ndim != 2:
-            raise ValueError(
-                f"kappa and ell must share a 2-d shape, got {kappa.shape} and {ell.shape}"
-            )
-        if np.any(kappa <= 0) or np.any(ell <= 0):
-            raise ValueError("normalization fields must be strictly positive")
+        if kappa.ndim != 2:
+            raise ValueError(f"kappa must be a 2-d grid, got shape {kappa.shape}")
+        if not (np.all(np.isfinite(kappa)) and np.all(kappa > 0)):
+            raise ValueError("the normalization field must be finite and strictly positive")
         object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "ell", ell)
 
 
 def raw_moments(z: AnalyticSeries) -> LagTimeMoments:
@@ -195,15 +184,16 @@ def emaf(m: LagTimeMoments) -> AmbiguityGrid:
 
 
 def normalization(n: int, dt: float = 1.0, delta: float = 0.5) -> NormalizationField:
-    """Variance and bandwidth fields of the white-noise ambiguity coefficients.
+    """Variance field of the white-noise ambiguity coefficients.
 
     For lag ``tau`` and dual frequency ``nu``,
 
     ``kappa = (n - |tau|)^(4 delta - 1) * (1/dt) * max(1/(2 dt) - |nu|, 1/(2 n dt))``
-    ``ell   = (1/4) * (n - |tau|) / max(1/2 - |nu| dt, 1/(2 n))``
 
     The inner ``max`` clamps the shrinking bandwidth at the grid resolution so
-    both fields stay strictly positive out to the edge column ``k = -n``.
+    the field stays strictly positive out to the edge column ``k = -n``.  A
+    ``dt`` so small that ``kappa`` overflows is rejected by
+    :class:`NormalizationField`, without a floating-point warning.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -212,12 +202,12 @@ def normalization(n: int, dt: float = 1.0, delta: float = 0.5) -> NormalizationF
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
     taus = np.arange(-(n - 1), n)[:, None]
-    nus = np.abs(np.arange(-n, n))[None, :] / (2 * n * dt)
     span = (n - np.abs(taus)).astype(float)
-    band = np.maximum(1.0 / (2 * dt) - nus, 1.0 / (2 * n * dt))
-    kappa = span ** (4 * delta - 1) * band / dt
-    ell = 0.25 * span / np.maximum(0.5 - nus * dt, 1.0 / (2 * n))
-    return NormalizationField(kappa, ell, delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nus = np.abs(np.arange(-n, n))[None, :] / (2 * n * dt)
+        band = np.maximum(1.0 / (2 * dt) - nus, 1.0 / (2 * n * dt))
+        kappa = span ** (4 * delta - 1) * band / dt
+    return NormalizationField(kappa, delta)
 
 
 def normalize(a: AmbiguityGrid, f: NormalizationField) -> AmbiguityGrid:

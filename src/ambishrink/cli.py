@@ -351,15 +351,15 @@ def run_riskbench(
     try:
         truth_real = _preset_truth(preset, n, dt)
         var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), seed)
+        truth = TheoreticalCovariance(_analytic_truth(truth_real.entries))
+        ratios = np.empty(reps)
+        for rep in range(reps):
+            est = shrink(_generate(preset, n, seed + rep, dt))
+            shrunk = correct(assemble(est.m_eb), correction)
+            ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    truth = TheoreticalCovariance(_analytic_truth(truth_real.entries))
-    ratios = np.empty(reps)
-    for rep in range(reps):
-        est = shrink(_generate(preset, n, seed + rep, dt))
-        shrunk = correct(assemble(est.m_eb), correction)
-        ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
     try:
         with open(out, "w") as fh:
             fh.write(f"# riskbench v1 preset={preset} n={n} reps={reps} seed={seed}\n")

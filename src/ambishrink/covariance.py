@@ -9,7 +9,8 @@ clipping the negative part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,18 +23,22 @@ _CORRECTIONS = ("none", "shift", "clip")
 
 @dataclass(frozen=True)
 class HermitianCovariance:
-    """Hermitian covariance estimate with its eigenvalues and repair state.
+    """Hermitian covariance estimate and its repair state.
 
-    ``eigenvalues`` are real and sorted in non-increasing order;
     ``correction`` records which repair (if any) produced ``entries``.
+    ``eigenvalues`` are real and sorted in non-increasing order.  They come
+    from one ``np.linalg.eigh`` of ``entries``, run on first use and shared
+    with :func:`correct`, unless the caller already knows them and passes
+    them as ``spectrum`` (non-increasing), as :func:`correct` does for its
+    result; then the matrix is never decomposed.
     """
 
     entries: np.ndarray
     correction: str = "none"
-    eigenvalues: np.ndarray | None = None
+    spectrum: InitVar[np.ndarray | None] = None
     n: int = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, spectrum: np.ndarray | None) -> None:
         entries = np.asarray(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
@@ -46,19 +51,26 @@ class HermitianCovariance:
             raise ValueError(
                 f"correction must be one of {_CORRECTIONS}, got {self.correction!r}"
             )
-        if self.eigenvalues is None:
-            eig = np.linalg.eigvalsh(entries)[::-1].copy()
-        else:
-            eig = np.asarray(self.eigenvalues, dtype=float)
+        if spectrum is not None:
+            eig = np.array(spectrum, dtype=float)
             if eig.shape != (entries.shape[0],):
                 raise ValueError(
                     f"expected {entries.shape[0]} eigenvalues, got shape {eig.shape}"
                 )
             if np.any(np.diff(eig) > 0):
                 raise ValueError("eigenvalues must be sorted in non-increasing order")
+            object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "n", entries.shape[0])
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors of ``entries``."""
+        return np.linalg.eigh(self.entries)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigh[0][::-1].copy()
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.entries)))
@@ -103,18 +115,12 @@ def correct(c: HermitianCovariance, method: str = "clip") -> HermitianCovariance
     """
     if method not in ("shift", "clip"):
         raise ValueError(f"method must be 'shift' or 'clip', got {method!r}")
-    eigvals, eigvecs = np.linalg.eigh(c.entries)
+    eigvals, eigvecs = c._eigh
     if method == "shift":
-        low = float(eigvals[0])
-        if low < 0:
-            entries = c.entries - low * np.eye(c.n)
-            eig = np.sort(eigvals - low)[::-1].copy()
-        else:
-            entries = c.entries
-            eig = np.sort(eigvals)[::-1].copy()
-        return HermitianCovariance(entries, correction="shift", eigenvalues=eig)
+        low = min(float(eigvals[0]), 0.0)
+        entries = c.entries - low * np.eye(c.n) if low < 0 else c.entries
+        return HermitianCovariance(entries, "shift", (eigvals - low)[::-1])
     clipped = np.maximum(eigvals, 0.0)
     entries = (eigvecs * clipped) @ eigvecs.conj().T
     entries = 0.5 * (entries + entries.conj().T)
-    eig = np.sort(clipped)[::-1].copy()
-    return HermitianCovariance(entries, correction="clip", eigenvalues=eig)
+    return HermitianCovariance(entries, "clip", clipped[::-1])

@@ -58,15 +58,13 @@ class QQData:
 class RiskReport:
     """Elementwise and Frobenius comparison of two estimates to a truth.
 
-    ``frobenius_ratio`` is the shrunk estimate's Frobenius error divided by
-    the raw estimate's; ``inf`` marks a degenerate zero-error denominator.
-    ``eigen_spectra`` holds descending eigenvalue sequences keyed by
-    ``estimate``, ``raw`` and ``truth``.
+    ``normalized_error`` is the shrunk estimate's elementwise error grid;
+    ``frobenius_ratio`` is its Frobenius error divided by the raw
+    estimate's, with ``inf`` marking a degenerate zero-error denominator.
     """
 
     normalized_error: np.ndarray
     frobenius_ratio: float
-    eigen_spectra: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
         err = np.asarray(self.normalized_error, dtype=float)
@@ -134,7 +132,8 @@ def risk_report(
     The elementwise error grid is ``|est - truth|`` over a scale that is
     the truth magnitude floored at ``1e-12`` times its largest entry, so
     structural zeros in the truth do not blow up the picture.  The headline
-    number is the ratio of Frobenius errors, shrunk over raw.
+    number is the ratio of Frobenius errors, shrunk over raw.  Neither
+    estimate is decomposed.
     """
     t = truth.entries
     if est.entries.shape != t.shape or raw.entries.shape != t.shape:
@@ -153,12 +152,7 @@ def risk_report(
         ratio = float("inf")
     else:
         ratio = num / den
-    spectra = {
-        "estimate": est.eigenvalues.copy(),
-        "raw": raw.eigenvalues.copy(),
-        "truth": np.linalg.eigvalsh(t)[::-1].copy(),
-    }
-    return RiskReport(err_grid, ratio, spectra)
+    return RiskReport(err_grid, ratio)
 
 
 def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float]:

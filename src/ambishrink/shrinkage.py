@@ -69,36 +69,29 @@ class ShrinkageParams:
 
 @dataclass(frozen=True)
 class ThresholdField:
-    """Attenuation factors and posterior signal probabilities on the grid.
+    """Attenuation factors ``theta`` on the ``(2n-1, 2n)`` grid of a record sampled at ``dt``.
 
     The origin coefficient carries the total energy of the series and is
     never shrunk, so ``theta`` must be exactly 1 there.
     """
 
     theta: np.ndarray
-    rho_post: np.ndarray
     dt: float = 1.0
 
     def __post_init__(self) -> None:
         theta = np.asarray(self.theta, dtype=float)
-        rho_post = np.asarray(self.rho_post, dtype=float)
-        if theta.shape != rho_post.shape or theta.ndim != 2:
-            raise ValueError(
-                f"theta and rho_post must share a 2-d shape, got {theta.shape} and {rho_post.shape}"
-            )
+        if theta.ndim != 2:
+            raise ValueError(f"theta must be a 2-d field, got shape {theta.shape}")
         rows, cols = theta.shape
         if cols != rows + 1 or rows % 2 == 0:
             raise ValueError(f"expected a (2n-1, 2n) field, got {theta.shape}")
         if np.any(theta < 0) or np.any(theta > 1):
             raise ValueError("theta values must lie in [0, 1]")
-        if np.any(rho_post < 0) or np.any(rho_post > 1):
-            raise ValueError("rho_post values must lie in [0, 1]")
         if theta[(rows - 1) // 2, cols // 2] != 1.0:
             raise ValueError("the origin coefficient must keep theta = 1")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "rho_post", rho_post)
         object.__setattr__(self, "dt", float(self.dt))
 
 
@@ -330,7 +323,7 @@ def threshold_field(params: ShrinkageParams, a: AmbiguityGrid) -> ThresholdField
         )
         theta[keep] = np.clip(qmed / qk, 0.0, 1.0)
     theta[a.n - 1, a.n] = 1.0
-    return ThresholdField(theta, rho_post, dt=a.dt)
+    return ThresholdField(theta, dt=a.dt)
 
 
 def apply_threshold(a: AmbiguityGrid, t: ThresholdField) -> AmbiguityGrid:

@@ -194,10 +194,12 @@ def _hermite_rows(order: int, length: int) -> np.ndarray:
     x = np.linspace(-span, span, length)
     envelope = np.exp(-0.5 * x * x)
     rows = np.empty((order + 1, length))
-    for r in range(order + 1):
-        coeffs = np.zeros(r + 1)
-        coeffs[r] = 1.0
-        rows[r] = np.polynomial.hermite.hermval(x, coeffs) * envelope
+    # high orders overflow to inf or NaN; window_bank rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(order + 1):
+            coeffs = np.zeros(r + 1)
+            coeffs[r] = 1.0
+            rows[r] = np.polynomial.hermite.hermval(x, coeffs) * envelope
     return rows
 
 
@@ -208,7 +210,9 @@ def window_bank(kind: str, order: int, length: int) -> np.ndarray:
     for them); ``hermite`` returns the full bank of orders ``0..order`` as
     rows sharing one symmetric sampling grid, so the bank stays mutually
     orthogonal to sampling accuracy.  Every returned row has
-    ``sum(h^2) == 1``.
+    ``sum(h^2) == 1``.  A bank whose energies overflow (``hermite`` from
+    order 150 or so) raises ``ValueError`` instead of returning rows of NaN
+    or zeros.
     """
     if length < 2:
         raise ValueError(f"window length must be at least 2, got {length}")
@@ -223,5 +227,9 @@ def window_bank(kind: str, order: int, length: int) -> np.ndarray:
         rows = _hermite_rows(order, length)
     else:
         raise ValueError(f"unsupported window kind {kind!r}")
-    rows = rows / np.sqrt(np.sum(rows * rows, axis=1, keepdims=True))
+    with np.errstate(over="ignore"):
+        energy = np.sum(rows * rows, axis=1, keepdims=True)
+    if not np.all(np.isfinite(energy)):
+        raise ValueError(f"{kind} window bank of order {order} overflows floating point")
+    rows = rows / np.sqrt(energy)
     return rows[0] if kind in ("gaussian", "hann") else rows

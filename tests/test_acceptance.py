@@ -375,7 +375,7 @@ def test_criterion_10_kernel_equivalence():
         rng = np.random.default_rng(200 + seed)
         theta = rng.random((2 * n - 1, 2 * n))
         theta[n - 1, n] = 1.0
-        t = ThresholdField(theta, np.zeros_like(theta), dt=a.dt)
+        t = ThresholdField(theta, dt=a.dt)
         direct = invert_af(apply_threshold(a, t))
 
         kernel = equivalent_kernel(t)

@@ -1,5 +1,7 @@
 """Tests for lag-time moments, the ambiguity transform, and normalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -142,7 +144,6 @@ class TestNormalizationField:
         for n, dt in ((16, 1.0), (64, 0.25)):
             f = normalization(n, dt, 0.5)
             assert f.kappa[n - 1, n] == pytest.approx(n / (2 * dt**2))
-            assert f.ell[n - 1, n] == pytest.approx(n / 2)
 
     def test_clamped_edge_column(self):
         n, dt = 16, 0.5
@@ -151,12 +152,10 @@ class TestNormalizationField:
         # would vanish; it must be floored at one grid cell 1/(2 n dt)
         span = n - np.abs(np.arange(-(n - 1), n))
         np.testing.assert_allclose(f.kappa[:, 0], span * (1 / (2 * n * dt)) / dt)
-        np.testing.assert_allclose(f.ell[:, 0], 0.25 * span * 2 * n)
 
     def test_strictly_positive_everywhere(self):
         f = normalization(32, 0.1, 0.25)
         assert np.all(f.kappa > 0)
-        assert np.all(f.ell > 0)
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, 1.5])
     def test_rejects_delta_outside_open_interval(self, delta):
@@ -165,13 +164,23 @@ class TestNormalizationField:
 
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(ValueError, match="positive"):
-            NormalizationField(np.zeros((3, 4)), np.ones((3, 4)))
+            NormalizationField(np.zeros((3, 4)))
+
+    def test_rejects_infinite_field(self):
+        with pytest.raises(ValueError, match="finite"):
+            NormalizationField(np.full((3, 4), np.inf))
+
+    def test_overflowing_dt_is_rejected_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                normalization(16, 1e-300, 0.5)
 
 
 class TestNormalize:
     def test_unit_field_is_identity(self):
         a = pipeline_grid(8, 0)
-        f = NormalizationField(np.ones_like(a.entries, dtype=float), np.ones_like(a.entries, dtype=float))
+        f = NormalizationField(np.ones_like(a.entries, dtype=float))
         out = normalize(a, f)
         np.testing.assert_array_equal(out.entries, a.entries)
         assert out.normalized

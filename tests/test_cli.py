@@ -249,6 +249,27 @@ class TestAnalyze:
             assert main(["analyze", "--input", str(sig), "--outdir", str(tmp_path / "r")]) == 2
         assert_one_error_line(capsys, "NaN or infinity")
 
+    def test_overflowing_hermite_bank_exits_2_before_writing(self, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        argv = ["analyze", "--input", "whitenoise", "--n", "16", "--kernel", "hermite:5:200"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--outdir", str(outdir)]) == 2
+        assert_one_error_line(capsys, "overflows")
+        assert not outdir.exists()
+
+    def test_overflowing_normalization_exits_2_without_warnings(self, tmp_path, capsys):
+        argv = ["analyze", "--input", "tvchirp", "--n", "16", "--dt", "1e-300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--outdir", str(tmp_path / "r")]) == 2
+        assert_one_error_line(capsys, "finite and strictly positive")
+
+    def test_one_eigendecomposition_per_run(self, tmp_path, eig_calls):
+        argv = ["analyze", "--input", "whitenoise", "--n", "32", "--outdir", str(tmp_path / "r")]
+        assert main(argv) == 0
+        assert eig_calls == ["eigh"]
+
     def test_config_file_supplies_defaults_but_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -392,6 +413,20 @@ class TestRiskbench:
         assert code == 2
         assert_one_error_line(capsys, "at least 8")
         assert not out.exists()
+
+    @pytest.mark.parametrize("dt", ["0", "-1"])
+    @pytest.mark.parametrize("preset", ["aggregation512", "whitenoise", "ma-locstat", "ma-cyclo"])
+    def test_nonpositive_dt_exits_2(self, tmp_path, capsys, preset, dt):
+        out = tmp_path / "b.txt"
+        argv = ["riskbench", preset, "--reps", "2", "--n", "16", "--dt", dt, "--out", str(out)]
+        assert main(argv) == 2
+        assert_one_error_line(capsys, "dt must be")
+        assert not out.exists()
+
+    def test_one_eigendecomposition_per_replicate(self, tmp_path, eig_calls):
+        out = tmp_path / "b.txt"
+        assert main(["riskbench", "whitenoise", "--reps", "3", "--n", "16", "--out", str(out)]) == 0
+        assert eig_calls == ["eigh"] * 3
 
     def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "b.txt"

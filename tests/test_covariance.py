@@ -13,6 +13,8 @@ from ambishrink.ambiguity import (
     raw_moments,
 )
 from ambishrink.covariance import HermitianCovariance, assemble, correct, invert_af
+from ambishrink.diagnostics import risk_report
+from ambishrink.procgen import TheoreticalCovariance
 from ambishrink.series import AnalyticSeries
 
 
@@ -41,6 +43,40 @@ class TestHermitianCovarianceType:
         np.testing.assert_allclose(c.eigenvalues, [3.0, 2.0, 1.0])
         assert c.min_eigenvalue() == pytest.approx(1.0)
         assert c.trace() == pytest.approx(6.0)
+
+
+    def test_rejects_unsorted_spectrum(self):
+        with pytest.raises(ValueError, match="non-increasing"):
+            HermitianCovariance(np.eye(2), spectrum=np.array([0.0, 1.0]))
+
+
+class TestOneEigendecomposition:
+    def test_assemble_does_not_decompose(self, eig_calls):
+        assemble(raw_moments(random_series(16, 40)))
+        assert eig_calls == []
+
+    @pytest.mark.parametrize("method", ["shift", "clip"])
+    def test_correct_and_both_spectra_take_one_decomposition(self, eig_calls, method):
+        c = random_hermitian(12, 41)
+        out = correct(c, method)
+        c.min_eigenvalue()
+        out.min_eigenvalue()
+        out.eigenvalues
+        assert eig_calls == ["eigh"]
+
+    def test_risk_report_does_not_decompose(self, eig_calls):
+        c = random_hermitian(6, 42)
+        truth = TheoreticalCovariance(c.entries @ c.entries)
+        risk_report(c, random_hermitian(6, 43), truth)
+        assert eig_calls == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lazy_spectrum_matches_eigvalsh(self, seed):
+        c = random_hermitian(20, seed + 44)
+        expected = np.linalg.eigvalsh(c.entries)[::-1]
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(c.eigenvalues, expected, rtol=0, atol=1e-12 * scale)
+        assert c.min_eigenvalue() == c.eigenvalues[-1]
 
 
 class TestInvertAf:

@@ -128,14 +128,14 @@ class TestRiskReportType:
         err = np.zeros((2, 2))
         err[0, 1] = -0.5
         with pytest.raises(ValueError, match="nonnegative"):
-            RiskReport(err, 1.0, {})
+            RiskReport(err, 1.0)
 
     def test_rejects_negative_or_nan_ratio(self):
         err = np.zeros((2, 2))
         with pytest.raises(ValueError, match="frobenius_ratio"):
-            RiskReport(err, -1.0, {})
+            RiskReport(err, -1.0)
         with pytest.raises(ValueError, match="frobenius_ratio"):
-            RiskReport(err, float("nan"), {})
+            RiskReport(err, float("nan"))
 
 
 class TestRiskReportOp:
@@ -174,17 +174,6 @@ class TestRiskReportOp:
             TheoreticalCovariance(t),
         )
         assert np.all(np.isfinite(report.normalized_error))
-
-    def test_spectra_are_descending_and_labeled(self):
-        t = self.psd(5, 37)
-        report = risk_report(
-            HermitianCovariance(self.psd(5, 38)),
-            HermitianCovariance(self.psd(5, 39)),
-            TheoreticalCovariance(t),
-        )
-        assert set(report.eigen_spectra) == {"estimate", "raw", "truth"}
-        for spectrum in report.eigen_spectra.values():
-            assert np.all(np.diff(spectrum) <= 1e-12)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

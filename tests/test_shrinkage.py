@@ -140,16 +140,16 @@ class TestThresholdFieldType:
         theta = np.ones((7, 8))
         theta[0, 0] = 1.5
         with pytest.raises(ValueError, match="theta"):
-            ThresholdField(theta, np.zeros((7, 8)))
+            ThresholdField(theta)
 
     def test_rejects_attenuated_origin(self):
         theta = np.zeros((7, 8))
         with pytest.raises(ValueError, match="origin"):
-            ThresholdField(theta, np.zeros((7, 8)))
+            ThresholdField(theta)
 
     def test_rejects_non_grid_shape(self):
         with pytest.raises(ValueError, match="field"):
-            ThresholdField(np.ones((6, 8)), np.zeros((6, 8)))
+            ThresholdField(np.ones((6, 8)))
 
 
 class TestMarginalNll:
@@ -520,7 +520,7 @@ class TestThresholdField:
 class TestApplyThreshold:
     def test_unit_field_is_identity(self):
         a = whitenoise_pipeline_grid(8, 1)
-        t = ThresholdField(np.ones_like(a.entries, dtype=float), np.zeros_like(a.entries, dtype=float))
+        t = ThresholdField(np.ones_like(a.entries, dtype=float))
         out = apply_threshold(a, t)
         np.testing.assert_array_equal(out.entries, a.entries)
 
@@ -528,7 +528,7 @@ class TestApplyThreshold:
         a = whitenoise_pipeline_grid(8, 2)
         theta = np.zeros_like(a.entries, dtype=float)
         theta[7, 8] = 1.0
-        out = apply_threshold(a, ThresholdField(theta, np.zeros_like(theta)))
+        out = apply_threshold(a, ThresholdField(theta))
         expected = np.zeros_like(a.entries)
         expected[7, 8] = a.entries[7, 8]
         np.testing.assert_array_equal(out.entries, expected)
@@ -547,7 +547,7 @@ class TestApplyThreshold:
 
     def test_dimension_mismatch_rejected(self):
         a = whitenoise_pipeline_grid(8, 4)
-        t = ThresholdField(np.ones((7, 8)), np.zeros((7, 8)))
+        t = ThresholdField(np.ones((7, 8)))
         with pytest.raises(ValueError, match="shape"):
             apply_threshold(a, t)
 
@@ -555,7 +555,7 @@ class TestApplyThreshold:
 class TestEquivalentKernel:
     def test_unit_field_gives_discrete_delta(self):
         theta = np.ones((15, 16))
-        t = ThresholdField(theta, np.zeros_like(theta), dt=0.5)
+        t = ThresholdField(theta, dt=0.5)
         kernel = equivalent_kernel(t)
         np.testing.assert_allclose(kernel[:, 0], 2.0, atol=1e-12)
         np.testing.assert_allclose(kernel[:, 1:], 0.0, atol=1e-12)
@@ -565,7 +565,7 @@ class TestEquivalentKernel:
         ks = np.arange(-n, n)
         row = (np.abs(ks) <= k0).astype(float)
         theta = np.tile(row, (2 * n - 1, 1))
-        t = ThresholdField(theta, np.zeros_like(theta), dt=1.0)
+        t = ThresholdField(theta, dt=1.0)
         kernel = equivalent_kernel(t)
 
         def dirichlet(count, x):
@@ -588,7 +588,7 @@ class TestEquivalentKernel:
         rng = np.random.default_rng(10)
         theta = rng.random((2 * n - 1, 2 * n))
         theta[n - 1, n] = 1.0
-        t = ThresholdField(theta, np.zeros_like(theta), dt=a.dt)
+        t = ThresholdField(theta, dt=a.dt)
         direct = invert_af(apply_threshold(a, t))
 
         kernel = equivalent_kernel(t)

@@ -1,5 +1,7 @@
 """Tests for bilinear time-frequency surfaces and analysis windows."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -359,3 +361,10 @@ class TestWindowBank:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="order"):
             window_bank("hermite", -1, 16)
+
+    @pytest.mark.parametrize("order", [200, 400])
+    def test_rejects_overflowing_bank_without_warnings(self, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                window_bank("hermite", order, 5)
