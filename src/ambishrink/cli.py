@@ -5,14 +5,17 @@ paths of the built-in benchmark processes, ``analyze`` runs the full
 estimate / normalize / fit / threshold / invert pipeline on a signal file
 or preset and emits every intermediate artifact as a text file, and
 ``riskbench`` measures estimation risk against the exact covariance of a
-preset over Monte Carlo replicates.
+preset over Monte Carlo replicates.  ``_PRESETS`` is the one table of
+presets: each one's sampler and the exact covariance of its real samples.
 
 Everything written is plain text with 17 significant digits, so artifacts
 round-trip bitwise through the bundled parsers and diff cleanly across
 runs.  The shrunk grids are written as rows of their kept cells and the QQ
 diagnostics as at most ``QQ_POINTS`` order statistics.  Exit codes: 0 on
-success, 2 for usage or input errors, 3 when the mixture fit fails to
-converge (best-so-far parameters are still written).
+success, 2 for usage or input errors (among them a negative seed, and a
+riskbench ``--n`` below 8 or ``--dt`` not finite and positive, both caught
+before any fit runs), 3 when the mixture fit fails to converge (the files
+written before the fit is judged, and ``summary.txt``, still are).
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
 from .covariance import assemble, correct
 from .diagnostics import qq_normalized_af, qq_ranks, risk_report, variance_reduction_probe
 from .procgen import (
+    AggregationProcess,
     TheoreticalCovariance,
     chirp_filter_process,
     cyclostationary_process,
@@ -39,18 +44,54 @@ from .procgen import (
 )
 from .series import TimeSeries, analytic_spectrum_weights
 from .shrinkage import shrink
-from .textio import (
-    _fmt_real,
-    format_psi_record,
-    read_signal,
-    write_matrix,
-    write_signal,
-)
+from .textio import _fmt_real, format_psi_record, read_signal, write_matrix, write_signal
 from .tfr import bilinear, window_bank
 
 __all__ = ["PipelineConfig", "main"]
 
-PRESETS = ("aggregation512", "whitenoise", "ma-locstat", "ma-cyclo", "tvchirp")
+
+class _Preset(NamedTuple):
+    sample: Callable[[int, int, float], TimeSeries]  # (n, seed, dt)
+    truth: Callable[[int, float], TheoreticalCovariance]  # (n, dt); the seed draws only noise
+
+
+_PRESETS = {
+    "aggregation512": _Preset(
+        lambda n, seed, dt: gen_aggregation(n, seed=seed, dt=dt),
+        lambda n, dt: theoretical_covariance(AggregationProcess(seed=0), n),
+    ),
+    "whitenoise": _Preset(
+        lambda n, seed, dt: gen_white_noise(n, seed=seed, dt=dt),
+        lambda n, dt: TheoreticalCovariance(np.eye(n)),
+    ),
+    "ma-locstat": _Preset(
+        lambda n, seed, dt: gen_modulated_ma(
+            locally_stationary_process(length=n, seed=seed), n, dt=dt
+        ),
+        lambda n, dt: theoretical_covariance(locally_stationary_process(length=n, seed=0), n),
+    ),
+    "ma-cyclo": _Preset(
+        lambda n, seed, dt: gen_modulated_ma(cyclostationary_process(seed=seed), n, dt=dt),
+        lambda n, dt: theoretical_covariance(cyclostationary_process(seed=0), n),
+    ),
+    "tvchirp": _Preset(
+        lambda n, seed, dt: gen_tv_filter(replace(chirp_filter_process(seed=seed), dt=dt), n),
+        lambda n, dt: theoretical_covariance(replace(chirp_filter_process(seed=0), dt=dt), n),
+    ),
+}
+PRESETS = tuple(_PRESETS)
+
+
+def _preset(name: str) -> _Preset:
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESETS)}")
+    return _PRESETS[name]
+
+
+def _fail(message: str) -> int:
+    """Report a usage or input error as one ``error:`` line on stderr; exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 @dataclass(frozen=True)
@@ -76,39 +117,10 @@ class PipelineConfig:
             raise ValueError(f"correction must be shift or clip, got {self.correction!r}")
         if not (np.isfinite(self.alpha) and -0.5 <= self.alpha <= 0.5):
             raise ValueError(f"alpha must lie in [-1/2, 1/2], got {self.alpha!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n < 2:
             raise ValueError(f"series length must be at least 2, got {self.n}")
-
-
-def _generate(preset: str, n: int, seed: int, dt: float) -> TimeSeries:
-    if preset == "aggregation512":
-        return gen_aggregation(n, seed=seed, dt=dt)
-    if preset == "whitenoise":
-        return gen_white_noise(n, seed=seed, dt=dt)
-    if preset == "ma-locstat":
-        return gen_modulated_ma(locally_stationary_process(length=n, seed=seed), n, dt=dt)
-    if preset == "ma-cyclo":
-        return gen_modulated_ma(cyclostationary_process(seed=seed), n, dt=dt)
-    if preset == "tvchirp":
-        p = replace(chirp_filter_process(seed=seed), dt=dt)
-        return gen_tv_filter(p, n)
-    raise ValueError(f"unknown preset {preset!r}; choose from {', '.join(PRESETS)}")
-
-
-def _preset_truth(preset: str, n: int, dt: float) -> TheoreticalCovariance:
-    if preset == "aggregation512":
-        from .procgen import AggregationProcess
-
-        return theoretical_covariance(AggregationProcess(seed=0), n)
-    if preset == "whitenoise":
-        return TheoreticalCovariance(np.eye(n))
-    if preset == "ma-locstat":
-        return theoretical_covariance(locally_stationary_process(length=n, seed=0), n)
-    if preset == "ma-cyclo":
-        return theoretical_covariance(cyclostationary_process(seed=0), n)
-    if preset == "tvchirp":
-        return theoretical_covariance(replace(chirp_filter_process(seed=0), dt=dt), n)
-    raise ValueError(f"unknown preset {preset!r}; choose from {', '.join(PRESETS)}")
 
 
 def _analytic_truth(real_cov: np.ndarray) -> np.ndarray:
@@ -127,7 +139,7 @@ def _analytic_truth(real_cov: np.ndarray) -> np.ndarray:
 
 
 def _smoothing_kernel(spec: str, dt: float):
-    """Translate a kernel flag into a time-smoothing callable and its label.
+    """Translate a kernel flag into a time-smoothing callable (``None`` for no smoothing).
 
     ``delta`` means no smoothing.  ``<kind>:<length>`` squares the named
     unit-energy window into a nonnegative unit-mass kernel;
@@ -136,7 +148,7 @@ def _smoothing_kernel(spec: str, dt: float):
     weights is not pinned down anywhere authoritative, so uniform it is).
     """
     if spec == "delta":
-        return None, "delta"
+        return None
     parts = spec.split(":")
     if len(parts) not in (2, 3):
         raise ValueError(
@@ -157,35 +169,29 @@ def _smoothing_kernel(spec: str, dt: float):
         out[ok] = profile[idx[ok]] / dt
         return out
 
-    return kern, spec
+    return kern
 
 
-def _write_summary(path: Path, items: list[tuple[str, str]]) -> None:
-    with open(path, "w") as fh:
-        for key, value in items:
-            fh.write(f"{key}={value}\n")
+def _write_fit(outdir: Path, emaf: np.ndarray, psi: tuple, qq: list[np.ndarray]) -> None:
+    """Write the files a run has before its fit is judged: ``emaf.mat``, ``psi.txt``, QQ.
+
+    ``psi`` is ``(vbar, rho, sigma2, nll, iterations)``; ``qq`` holds the
+    ``(theoretical, sample)`` quantile columns of the real and imaginary parts.
+    """
+    write_matrix(outdir / "emaf.mat", emaf)
+    with open(outdir / "psi.txt", "w") as fh:
+        fh.write(format_psi_record(*psi) + "\n")
+    for name, tag, table in zip(("qq_re.txt", "qq_im.txt"), ("real", "imaginary"), qq):
+        write_matrix(outdir / name, table, trailing=[f"# component={tag}"])
 
 
-def _summary_items(cfg: PipelineConfig, n: int, **values: float | int | str) -> list[tuple[str, str]]:
-    items: list[tuple[str, str]] = [
-        ("input", cfg.input),
-        ("n", str(n)),
-        ("dt", _fmt_real(cfg.dt)),
-        ("delta", _fmt_real(cfg.delta)),
-        ("alpha", _fmt_real(cfg.alpha)),
-        ("correction", cfg.correction),
-        ("kernel", cfg.kernel),
-        ("seed", str(cfg.seed)),
-    ]
-    for key, value in values.items():
-        items.append((key, value if isinstance(value, str) else _fmt_real(float(value))))
-    return items
+def _write_estimate(
+    outdir: Path, cfg: PipelineConfig, theta, af_eb, moments, cov, mineig: float, tfr
+) -> None:
+    """Write the estimate files: ``theta``/``af_eb``, ``moments_eb``, ``cov_eb`` and ``tfr``.
 
-
-def _write_shrunk(outdir: Path, theta: np.ndarray, af_eb: np.ndarray) -> None:
-    """Write ``theta.mat`` and ``af_eb.mat`` as sparse rows of the cells with theta > 0.
-
-    Each row is ``(tau, k, value)`` with ``tau``/``k`` as in
+    ``theta.mat`` and ``af_eb.mat`` hold sparse rows of the cells with
+    theta > 0.  Each row is ``(tau, k, value)`` with ``tau``/``k`` as in
     :meth:`AmbiguityGrid.at`, in row-major grid order; every other cell is
     zero.  A trailing ``# dense shape=<rows>x<cols>`` line names the grid.
     """
@@ -195,46 +201,39 @@ def _write_shrunk(outdir: Path, theta: np.ndarray, af_eb: np.ndarray) -> None:
     for name, grid in (("theta.mat", theta), ("af_eb.mat", af_eb)):
         table = np.column_stack([rows - (n - 1), cols - n, grid[rows, cols]])
         write_matrix(outdir / name, table, trailing=shape)
+    write_matrix(outdir / "moments_eb.mat", moments)
+    trailer = f"# correction={cfg.correction} mineig={_fmt_real(mineig)}"
+    write_matrix(outdir / "cov_eb.mat", cov, trailing=[trailer])
+    trailer = f"# tfr alpha={_fmt_real(cfg.alpha)} kernel={cfg.kernel}"
+    write_matrix(outdir / "tfr.mat", tfr, trailing=[trailer])
 
 
-def _zero_artifacts(cfg: PipelineConfig, x: TimeSeries, outdir: Path) -> None:
-    """Degenerate all-zero outputs for an identically zero input signal."""
-    n = x.n
-    czeros = np.zeros((2 * n - 1, 2 * n), dtype=complex)
-    write_matrix(outdir / "emaf.mat", czeros)
-    with open(outdir / "psi.txt", "w") as fh:
-        fh.write(format_psi_record(0.0, 0.0, 0.0, 0.0, 0) + "\n")
-    _write_shrunk(outdir, np.zeros((2 * n - 1, 2 * n)), czeros)
-    write_matrix(outdir / "moments_eb.mat", np.zeros((2 * n - 1, n), dtype=complex))
-    write_matrix(
-        outdir / "cov_eb.mat",
-        np.zeros((n, n), dtype=complex),
-        trailing=[f"# correction={cfg.correction} mineig=0"],
-    )
-    write_matrix(
-        outdir / "tfr.mat",
-        np.zeros((n, 2 * n), dtype=complex),
-        trailing=[f"# tfr alpha={_fmt_real(cfg.alpha)} kernel={cfg.kernel}"],
-    )
-    qq_rows = qq_ranks((2 * n - 1) * 2 * n - 1).size
-    for name, tag in (("qq_re.txt", "real"), ("qq_im.txt", "imaginary")):
-        write_matrix(outdir / name, np.zeros((qq_rows, 2)), trailing=[f"# component={tag}"])
-    _write_summary(
-        outdir / "summary.txt",
-        _summary_items(
-            cfg,
-            n,
-            converged="1",
-            vbar=0.0,
-            rho=0.0,
-            sigma2=0.0,
-            nll=0.0,
-            iterations="0",
-            min_eig_before=0.0,
-            min_eig_after=0.0,
-            retained_fraction=0.0,
-        ),
-    )
+def _write_summary(
+    outdir: Path, cfg: PipelineConfig, n: int, psi: tuple, estimate: tuple | None
+) -> None:
+    """Write ``summary.txt``: the settings, the fit ``psi`` as in :func:`_write_fit`, the estimate.
+
+    ``estimate`` is ``(min_eig_before, min_eig_after, retained_fraction)``,
+    or ``None`` when the fit did not converge and no estimate was written.
+    """
+    items = [
+        ("input", cfg.input),
+        ("n", str(n)),
+        ("dt", _fmt_real(cfg.dt)),
+        ("delta", _fmt_real(cfg.delta)),
+        ("alpha", _fmt_real(cfg.alpha)),
+        ("correction", cfg.correction),
+        ("kernel", cfg.kernel),
+        ("seed", str(cfg.seed)),
+        ("converged", "0" if estimate is None else "1"),
+    ]
+    items += zip(("vbar", "rho", "sigma2", "nll"), map(_fmt_real, psi[:4]))
+    items.append(("iterations", str(psi[4])))
+    if estimate is not None:
+        keys = ("min_eig_before", "min_eig_after", "retained_fraction")
+        items += zip(keys, map(_fmt_real, estimate))
+    with open(outdir / "summary.txt", "w") as fh:
+        fh.writelines(f"{key}={value}\n" for key, value in items)
 
 
 def run_analyze(cfg: PipelineConfig) -> int:
@@ -243,102 +242,58 @@ def run_analyze(cfg: PipelineConfig) -> int:
         try:
             x = read_signal(path)
         except (OSError, ValueError) as err:
-            print(f"error: cannot read {cfg.input}: {err}", file=sys.stderr)
-            return 2
-    elif cfg.input in PRESETS:
-        x = _generate(cfg.input, cfg.n, cfg.seed, cfg.dt)
+            return _fail(f"cannot read {cfg.input}: {err}")
+    elif cfg.input in _PRESETS:
+        x = _PRESETS[cfg.input].sample(cfg.n, cfg.seed, cfg.dt)
     else:
-        print(f"error: input {cfg.input!r} is neither a file nor a preset", file=sys.stderr)
-        return 2
+        return _fail(f"input {cfg.input!r} is neither a file nor a preset")
     try:
-        kernel, kernel_name = _smoothing_kernel(cfg.kernel, x.dt)
+        kernel = _smoothing_kernel(cfg.kernel, x.dt)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _fail(str(err))
 
     outdir = Path(cfg.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        print(f"error: cannot create output directory: {err}", file=sys.stderr)
-        return 2
+        return _fail(f"cannot create output directory: {err}")
 
+    n = x.n
     if not np.any(x.samples):
-        _zero_artifacts(cfg, x, outdir)
+        grid = np.zeros((2 * n - 1, 2 * n), dtype=complex)
+        psi = (0.0, 0.0, 0.0, 0.0, 0)
+        qq = np.zeros((qq_ranks(grid.size - 1).size, 2))
+        _write_fit(outdir, grid, psi, [qq, qq])
+        # moments, covariance and TFR are zero blocks of the grid's leading rows and columns
+        _write_estimate(outdir, cfg, grid.real, grid, grid[:, :n], grid[:n, :n], 0.0, grid[:n])
+        _write_summary(outdir, cfg, n, psi, (0.0, 0.0, 0.0))
         return 0
 
     try:
         est = shrink(x, cfg.delta)
     except ValueError as err:
-        print(f"error: cannot analyze {cfg.input}: {err}", file=sys.stderr)
-        return 2
-    params = est.params
-    write_matrix(outdir / "emaf.mat", est.a_raw.entries)
-    with open(outdir / "psi.txt", "w") as fh:
-        fh.write(
-            format_psi_record(
-                params.vbar, params.rho, params.sigma2, params.nll, params.iterations
-            )
-            + "\n"
-        )
-    qq_re, qq_im = qq_normalized_af(est.a_norm, params.vbar)
-    for qq, name in ((qq_re, "qq_re.txt"), (qq_im, "qq_im.txt")):
-        write_matrix(
-            outdir / name,
-            np.column_stack([qq.theoretical_quantiles, qq.sample_quantiles]),
-            trailing=[f"# component={qq.component}"],
-        )
+        return _fail(f"cannot analyze {cfg.input}: {err}")
+    p = est.params
+    psi = (p.vbar, p.rho, p.sigma2, p.nll, p.iterations)
+    qq = [
+        np.column_stack([q.theoretical_quantiles, q.sample_quantiles])
+        for q in qq_normalized_af(est.a_norm, p.vbar)
+    ]
+    _write_fit(outdir, est.a_raw.entries, psi, qq)
     if not est.converged:
-        _write_summary(
-            outdir / "summary.txt",
-            _summary_items(
-                cfg,
-                x.n,
-                converged="0",
-                vbar=params.vbar,
-                rho=params.rho,
-                sigma2=params.sigma2,
-                nll=params.nll,
-                iterations=str(params.iterations),
-            ),
-        )
+        _write_summary(outdir, cfg, n, psi, None)
         print("error: mixture fit did not converge; best-so-far written", file=sys.stderr)
         return 3
 
-    _write_shrunk(outdir, est.theta.theta, est.af_eb.entries)
-    write_matrix(outdir / "moments_eb.mat", est.m_eb.entries)
     cov_est = assemble(est.m_eb)
-    cov_fixed = correct(cov_est, cfg.correction)
-    write_matrix(
-        outdir / "cov_eb.mat",
-        cov_fixed.entries,
-        trailing=[
-            f"# correction={cov_fixed.correction} "
-            f"mineig={_fmt_real(cov_fixed.min_eigenvalue())}"
-        ],
+    cov = correct(cov_est, cfg.correction)
+    tfr = bilinear(est.m_eb, alpha=cfg.alpha, kernel=kernel, kernel_name=cfg.kernel).values
+    theta, mineig = est.theta.theta, cov.min_eigenvalue()
+    _write_estimate(
+        outdir, cfg, theta, est.af_eb.entries, est.m_eb.entries, cov.entries, mineig, tfr
     )
-    surface = bilinear(est.m_eb, alpha=cfg.alpha, kernel=kernel, kernel_name=kernel_name)
-    write_matrix(
-        outdir / "tfr.mat",
-        surface.values,
-        trailing=[f"# tfr alpha={_fmt_real(cfg.alpha)} kernel={kernel_name}"],
-    )
-    _write_summary(
-        outdir / "summary.txt",
-        _summary_items(
-            cfg,
-            x.n,
-            converged="1",
-            vbar=params.vbar,
-            rho=params.rho,
-            sigma2=params.sigma2,
-            nll=params.nll,
-            iterations=str(params.iterations),
-            min_eig_before=cov_est.min_eigenvalue(),
-            min_eig_after=cov_fixed.min_eigenvalue(),
-            retained_fraction=float(np.mean(est.theta.theta > 0)),
-        ),
-    )
+    estimate = (cov_est.min_eigenvalue(), mineig, np.mean(theta > 0))
+    _write_summary(outdir, cfg, n, psi, estimate)
     return 0
 
 
@@ -346,20 +301,22 @@ def run_riskbench(
     preset: str, reps: int, n: int, seed: int, dt: float, correction: str, out: str
 ) -> int:
     if reps < 1:
-        print(f"error: reps must be positive, got {reps}", file=sys.stderr)
-        return 2
+        return _fail(f"reps must be positive, got {reps}")
     try:
-        truth_real = _preset_truth(preset, n, dt)
+        spec = _preset(preset)
+        if n < 8:
+            raise ValueError(f"series length must be at least 8, got {n}")
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be a positive finite float, got {dt!r}")
+        truth = TheoreticalCovariance(_analytic_truth(spec.truth(n, dt).entries))
         var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), seed)
-        truth = TheoreticalCovariance(_analytic_truth(truth_real.entries))
         ratios = np.empty(reps)
         for rep in range(reps):
-            est = shrink(_generate(preset, n, seed + rep, dt))
+            est = shrink(spec.sample(n, seed + rep, dt))
             shrunk = correct(assemble(est.m_eb), correction)
             ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _fail(str(err))
     try:
         with open(out, "w") as fh:
             fh.write(f"# riskbench v1 preset={preset} n={n} reps={reps} seed={seed}\n")
@@ -368,8 +325,7 @@ def run_riskbench(
             fh.write(f"var_eb={_fmt_real(var_eb)} var_raw={_fmt_real(var_raw)}\n")
             fh.write(f"mean_ratio={_fmt_real(float(np.mean(ratios)))}\n")
     except OSError as err:
-        print(f"error: cannot write output: {err}", file=sys.stderr)
-        return 2
+        return _fail(f"cannot write output: {err}")
     return 0
 
 
@@ -387,17 +343,8 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_ANALYZE_FIELDS: dict[str, type] = {
-    "input": str,
-    "outdir": str,
-    "dt": float,
-    "delta": float,
-    "correction": str,
-    "alpha": float,
-    "kernel": str,
-    "seed": int,
-    "n": int,
-}
+# Field name -> type, which also parses the field's config-file value.
+_ANALYZE_FIELDS: dict[str, type] = get_type_hints(PipelineConfig)
 
 
 def _analyze_config(args: argparse.Namespace) -> PipelineConfig:
@@ -458,22 +405,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "simulate":
         try:
-            x = _generate(args.preset, args.n, args.seed, args.dt)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        try:
+            x = _preset(args.preset).sample(args.n, args.seed, args.dt)
             write_signal(args.out or f"{args.preset}.sig", x)
+        except ValueError as err:
+            return _fail(str(err))
         except OSError as err:
-            print(f"error: cannot write output: {err}", file=sys.stderr)
-            return 2
+            return _fail(f"cannot write output: {err}")
         return 0
     if args.command == "analyze":
         try:
             cfg = _analyze_config(args)
         except (OSError, ValueError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+            return _fail(str(err))
         return run_analyze(cfg)
     if args.command == "riskbench":
         return run_riskbench(

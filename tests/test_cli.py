@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -433,3 +434,128 @@ class TestRiskbench:
         code = main(["riskbench", "whitenoise", "--reps", "1", "--n", "16", "--out", str(out)])
         assert code == 2
         assert_one_error_line(capsys, "cannot write")
+
+
+def summary_keys(outdir) -> list[str]:
+    return list(read_summary(outdir / "summary.txt"))
+
+
+class TestNegativeSeed:
+    def test_flag_exits_2_before_any_directory(self, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        argv = ["analyze", "--input", "whitenoise", "--n", "16", "--seed", "-1"]
+        assert main(argv + ["--outdir", str(outdir)]) == 2
+        assert_one_error_line(capsys, "seed must be non-negative")
+        assert not outdir.exists()
+
+    def test_config_file_exits_2_before_any_directory(self, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input=whitenoise\nn=16\nseed=-4\noutdir={outdir}\n")
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert_one_error_line(capsys, "seed must be non-negative")
+        assert not outdir.exists()
+
+
+class TestRiskbenchChecksFirst:
+    @pytest.mark.parametrize(
+        "flag, value, fragment",
+        [
+            ("--dt", "0", "dt must be"),
+            ("--dt", "-1", "dt must be"),
+            ("--dt", "nan", "dt must be"),
+            ("--dt", "inf", "dt must be"),
+            ("--n", "4", "at least 8"),
+        ],
+    )
+    def test_bad_setting_exits_2_before_truth_and_probe(
+        self, tmp_path, capsys, monkeypatch, flag, value, fragment
+    ):
+        def not_called(*args, **kwargs):
+            raise AssertionError("ran before the settings were checked")
+
+        monkeypatch.setattr(cli, "variance_reduction_probe", not_called)
+        monkeypatch.setattr(cli, "_analytic_truth", not_called)
+        out = tmp_path / "b.txt"
+        argv = ["riskbench", "whitenoise", "--reps", "2", "--n", "128", flag, value]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert_one_error_line(capsys, fragment)
+        assert not out.exists()
+
+
+class TestArtifactWriters:
+    FLAGS = ["--correction", "shift", "--alpha", "0", "--kernel", "hann:5"]
+
+    @pytest.fixture(scope="class")
+    def converged(self, tmp_path_factory):
+        outdir = tmp_path_factory.mktemp("converged") / "run"
+        argv = ["analyze", "--input", "whitenoise", "--n", "32", "--outdir", str(outdir)]
+        assert main(argv + self.FLAGS) == 0
+        return outdir
+
+    def test_zero_record_writes_every_file_with_its_trailers(self, tmp_path, converged):
+        sig = tmp_path / "zero.sig"
+        write_signal(sig, TimeSeries(np.zeros(32)))
+        outdir = tmp_path / "zero"
+        assert main(["analyze", "--input", str(sig), "--outdir", str(outdir)] + self.FLAGS) == 0
+        names = sorted(path.name for path in outdir.iterdir())
+        assert names == sorted(path.name for path in converged.iterdir()) == sorted(ARTIFACTS)
+        psi = "vbar=0 rho=0 sigma2=0 nll=0 iterations=0\n"
+        assert (outdir / "psi.txt").read_text() == psi
+        assert read_matrix(outdir / "cov_eb.mat")[1] == ["# correction=shift mineig=0"]
+        assert read_matrix(outdir / "tfr.mat")[1] == ["# tfr alpha=0 kernel=hann:5"]
+        assert summary_keys(outdir) == summary_keys(converged)
+
+    def test_unconverged_run_writes_only_the_files_before_the_fit_is_judged(
+        self, tmp_path, monkeypatch, converged
+    ):
+        best = ShrinkageParams(1.0, 0.1, 2.0, nll=5.0, iterations=77)
+
+        def no_fit(a):
+            raise FitConvergenceError("search budget exhausted", best)
+
+        monkeypatch.setattr("ambishrink.shrinkage.fit", no_fit)
+        outdir = tmp_path / "run"
+        argv = ["analyze", "--input", "whitenoise", "--n", "32", "--outdir", str(outdir)]
+        assert main(argv + self.FLAGS) == 3
+        names = {path.name for path in outdir.iterdir()}
+        assert names == {"emaf.mat", "psi.txt", "qq_re.txt", "qq_im.txt", "summary.txt"}
+        keys = summary_keys(converged)
+        assert summary_keys(outdir) == keys[: keys.index("iterations") + 1]
+
+
+class TestSingleSources:
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_every_preset_simulates_and_riskbenches(self, tmp_path, preset):
+        sig = tmp_path / "x.sig"
+        assert main(["simulate", preset, "--n", "16", "--out", str(sig)]) == 0
+        assert read_signal(sig).n == 16
+        out = tmp_path / "b.txt"
+        assert main(["riskbench", preset, "--n", "16", "--reps", "1", "--out", str(out)]) == 0
+        assert out.read_text().startswith(f"# riskbench v1 preset={preset} n=16 reps=1")
+
+    def test_analyze_flags_are_the_config_fields(self):
+        flags = set(vars(cli.build_parser().parse_args(["analyze"]))) - {"command"}
+        assert flags == {field.name for field in fields(PipelineConfig)} | {"config"}
+
+    def test_every_field_is_a_config_key(self, tmp_path):
+        outdir = tmp_path / "run"
+        values = {
+            "input": "whitenoise",
+            "outdir": str(outdir),
+            "dt": "0.5",
+            "delta": "0.25",
+            "correction": "shift",
+            "alpha": "0",
+            "kernel": "hann:5",
+            "seed": "2",
+            "n": "16",
+        }
+        assert set(values) == {field.name for field in fields(PipelineConfig)}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        summary = read_summary(outdir / "summary.txt")
+        for key, value in values.items():
+            if key != "outdir":
+                assert summary[key] == value, key
