@@ -15,11 +15,11 @@ by ``dt``; one inverse DFT per row recovers the moments exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .series import AnalyticSeries
+from .series import AnalyticSeries, check_dt, check_n
 
 __all__ = [
     "LagTimeMoments",
@@ -33,7 +33,15 @@ __all__ = [
     "smooth_kernel",
     "lag_support_mask",
     "lag_index",
+    "check_delta",
 ]
+
+
+def check_delta(delta: float) -> float:
+    """The normalization exponent as a float, strictly inside ``(0, 1)``."""
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
+    return float(delta)
 
 
 def lag_support_mask(n: int) -> np.ndarray:
@@ -70,20 +78,16 @@ class LagTimeMoments:
         if entries.ndim != 2:
             raise ValueError(f"entries must be a 2-d grid, got shape {entries.shape}")
         rows, cols = entries.shape
-        if rows != 2 * cols - 1 or cols < 2:
-            raise ValueError(
-                f"expected shape (2n-1, n) with n >= 2, got {entries.shape}"
-            )
+        if rows != 2 * cols - 1:
+            raise ValueError(f"expected shape (2n-1, n), got {entries.shape}")
+        object.__setattr__(self, "n", check_n(cols))
         if not np.all(np.isfinite(entries.view(float))):
             raise ValueError("entries contain NaN or infinity")
-        if not (isinstance(self.dt, (int, float)) and np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be a positive finite float, got {self.dt!r}")
+        object.__setattr__(self, "dt", check_dt(self.dt))
         off = ~lag_support_mask(cols)
         if np.any(entries[off] != 0):
             raise ValueError("entries must vanish outside the lag support")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "n", cols)
 
     def support_mask(self) -> np.ndarray:
         return lag_support_mask(self.n)
@@ -118,20 +122,19 @@ class AmbiguityGrid:
         if entries.ndim != 2:
             raise ValueError(f"entries must be a 2-d grid, got shape {entries.shape}")
         rows, cols = entries.shape
-        if cols % 2 != 0 or rows != cols - 1 or cols < 4:
-            raise ValueError(
-                f"expected shape (2n-1, 2n) with n >= 2, got {entries.shape}"
-            )
+        if cols % 2 != 0 or rows != cols - 1:
+            raise ValueError(f"expected shape (2n-1, 2n), got {entries.shape}")
+        object.__setattr__(self, "n", check_n(cols // 2))
         if not np.all(np.isfinite(entries.view(float))):
             raise ValueError("entries contain NaN or infinity")
-        if not (isinstance(self.dt, (int, float)) and np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be a positive finite float, got {self.dt!r}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie strictly inside (0, 1), got {self.delta!r}")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "n", cols // 2)
+        object.__setattr__(self, "dt", check_dt(self.dt))
+        object.__setattr__(self, "delta", check_delta(self.delta))
+
+    def check_shape(self, what: str, shape: tuple[int, ...]) -> None:
+        """Reject a field or kernel (named by ``what``) whose ``shape`` is not the grid's."""
+        if shape != self.entries.shape:
+            raise ValueError(f"{what} shape {shape} does not match grid shape {self.entries.shape}")
 
     def at(self, tau: int, k: int) -> complex:
         """Entry for lag ``tau`` and dual-frequency index ``k``."""
@@ -195,12 +198,7 @@ def normalization(n: int, dt: float = 1.0, delta: float = 0.5) -> NormalizationF
     ``dt`` so small that ``kappa`` overflows is rejected by
     :class:`NormalizationField`, without a floating-point warning.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
+    n, dt, delta = check_n(n), check_dt(dt), check_delta(delta)
     taus = np.arange(-(n - 1), n)[:, None]
     span = (n - np.abs(taus)).astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -214,39 +212,24 @@ def normalize(a: AmbiguityGrid, f: NormalizationField) -> AmbiguityGrid:
     """Divide entries by ``sqrt(kappa)`` so white-noise coefficients sit on a flat scale."""
     if a.normalized:
         raise ValueError("grid is already normalized")
-    if f.kappa.shape != a.entries.shape:
-        raise ValueError(
-            f"field shape {f.kappa.shape} does not match grid shape {a.entries.shape}"
-        )
-    return AmbiguityGrid(
-        a.entries / np.sqrt(f.kappa), dt=a.dt, normalized=True, delta=f.delta
-    )
+    a.check_shape("field", f.kappa.shape)
+    return replace(a, entries=a.entries / np.sqrt(f.kappa), normalized=True, delta=f.delta)
 
 
 def denormalize(a: AmbiguityGrid, f: NormalizationField) -> AmbiguityGrid:
     """Undo :func:`normalize` by multiplying entries back with ``sqrt(kappa)``."""
     if not a.normalized:
         raise ValueError("grid is not normalized")
-    if f.kappa.shape != a.entries.shape:
-        raise ValueError(
-            f"field shape {f.kappa.shape} does not match grid shape {a.entries.shape}"
-        )
+    a.check_shape("field", f.kappa.shape)
     if f.delta != a.delta:
         raise ValueError(f"grid was normalized with delta={a.delta!r}, field has {f.delta!r}")
-    return AmbiguityGrid(
-        a.entries * np.sqrt(f.kappa), dt=a.dt, normalized=False, delta=a.delta
-    )
+    return replace(a, entries=a.entries * np.sqrt(f.kappa), normalized=False)
 
 
 def smooth_kernel(a: AmbiguityGrid, omega: np.ndarray) -> AmbiguityGrid:
     """Multiply the grid entrywise by a taper ``omega`` with ``|omega| <= 1``."""
     omega = np.asarray(omega)
-    if omega.shape != a.entries.shape:
-        raise ValueError(
-            f"kernel shape {omega.shape} does not match grid shape {a.entries.shape}"
-        )
+    a.check_shape("kernel", omega.shape)
     if np.max(np.abs(omega)) > 1 + 1e-12:
         raise ValueError("kernel magnitude exceeds 1")
-    return AmbiguityGrid(
-        a.entries * omega, dt=a.dt, normalized=a.normalized, delta=a.delta
-    )
+    return replace(a, entries=a.entries * omega)

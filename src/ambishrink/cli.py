@@ -12,10 +12,11 @@ Everything written is plain text with 17 significant digits, so artifacts
 round-trip bitwise through the bundled parsers and diff cleanly across
 runs.  The shrunk grids are written as rows of their kept cells and the QQ
 diagnostics as at most ``QQ_POINTS`` order statistics.  Exit codes: 0 on
-success, 2 for usage or input errors (among them a negative seed, and a
-riskbench ``--n`` below 8 or ``--dt`` not finite and positive, both caught
-before any fit runs), 3 when the mixture fit fails to converge (the files
-written before the fit is judged, and ``summary.txt``, still are).
+success, 2 for usage or input errors and failed writes (among them a
+negative seed, and a riskbench ``--n`` below 8 or ``--dt`` not finite and
+positive, both caught before any fit runs), 3 when the mixture fit fails
+to converge (the files written before the fit is judged, and
+``summary.txt``, still are).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
+from .ambiguity import check_delta
 from .covariance import assemble, correct
 from .diagnostics import qq_normalized_af, qq_ranks, risk_report, variance_reduction_probe
 from .procgen import (
@@ -42,10 +44,10 @@ from .procgen import (
     locally_stationary_process,
     theoretical_covariance,
 )
-from .series import TimeSeries, analytic_spectrum_weights
+from .series import TimeSeries, analytic_spectrum_weights, check_dt, check_n
 from .shrinkage import shrink
 from .textio import _fmt_real, format_psi_record, read_signal, write_matrix, write_signal
-from .tfr import bilinear, window_bank
+from .tfr import bilinear, check_alpha, window_bank
 
 __all__ = ["PipelineConfig", "main"]
 
@@ -88,6 +90,11 @@ def _preset(name: str) -> _Preset:
     return _PRESETS[name]
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def _fail(message: str) -> int:
     """Report a usage or input error as one ``error:`` line on stderr; exit code 2."""
     print(f"error: {message}", file=sys.stderr)
@@ -109,18 +116,13 @@ class PipelineConfig:
     n: int = 512
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if not (np.isfinite(self.delta) and 0 < self.delta < 1):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+        object.__setattr__(self, "dt", check_dt(self.dt))
+        object.__setattr__(self, "delta", check_delta(self.delta))
         if self.correction not in ("shift", "clip"):
             raise ValueError(f"correction must be shift or clip, got {self.correction!r}")
-        if not (np.isfinite(self.alpha) and -0.5 <= self.alpha <= 0.5):
-            raise ValueError(f"alpha must lie in [-1/2, 1/2], got {self.alpha!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.n < 2:
-            raise ValueError(f"series length must be at least 2, got {self.n}")
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        _check_seed(self.seed)
+        object.__setattr__(self, "n", check_n(self.n))
 
 
 def _analytic_truth(real_cov: np.ndarray) -> np.ndarray:
@@ -155,8 +157,10 @@ def _smoothing_kernel(spec: str, dt: float):
             f"kernel spec {spec!r} must be 'delta', '<kind>:<length>' or 'hermite:<length>:<order>'"
         )
     kind = parts[0]
-    length = int(parts[1])
-    order = int(parts[2]) if len(parts) == 3 else 0
+    try:
+        length, order = int(parts[1]), int(parts[2]) if len(parts) == 3 else 0
+    except ValueError:
+        raise ValueError(f"kernel spec {spec!r} has a non-integer length or order") from None
     rows = np.atleast_2d(window_bank(kind, order, length))
     profile = np.mean(rows * rows, axis=0)
     profile = profile / profile.sum()
@@ -257,7 +261,14 @@ def run_analyze(cfg: PipelineConfig) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         return _fail(f"cannot create output directory: {err}")
+    try:
+        return _analyze_into(outdir, cfg, x, kernel)
+    except OSError as err:
+        return _fail(f"cannot write output: {err}")
 
+
+def _analyze_into(outdir: Path, cfg: PipelineConfig, x: TimeSeries, kernel) -> int:
+    """Estimate ``x`` and write every artifact into ``outdir``; return the exit code."""
     n = x.n
     if not np.any(x.samples):
         grid = np.zeros((2 * n - 1, 2 * n), dtype=complex)
@@ -306,8 +317,8 @@ def run_riskbench(
         spec = _preset(preset)
         if n < 8:
             raise ValueError(f"series length must be at least 8, got {n}")
-        if not (np.isfinite(dt) and dt > 0):
-            raise ValueError(f"dt must be a positive finite float, got {dt!r}")
+        dt = check_dt(dt)
+        _check_seed(seed)
         truth = TheoreticalCovariance(_analytic_truth(spec.truth(n, dt).entries))
         var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), seed)
         ratios = np.empty(reps)
@@ -353,7 +364,10 @@ def _analyze_config(args: argparse.Namespace) -> PipelineConfig:
         for key, raw in _read_config_file(args.config).items():
             if key not in _ANALYZE_FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _ANALYZE_FIELDS[key](raw)
+            try:
+                merged[key] = _ANALYZE_FIELDS[key](raw)
+            except ValueError:
+                raise ValueError(f"config key {key!r} has a bad value {raw!r}") from None
     for key in _ANALYZE_FIELDS:
         flag_value = getattr(args, key)
         if flag_value is not None:
@@ -405,6 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "simulate":
         try:
+            _check_seed(args.seed)
             x = _preset(args.preset).sample(args.n, args.seed, args.dt)
             write_signal(args.out or f"{args.preset}.sig", x)
         except ValueError as err:

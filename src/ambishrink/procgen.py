@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .series import TimeSeries, analytic_spectrum_weights
+from .series import TimeSeries, analytic_spectrum_weights, check_dt, check_n
 
 __all__ = [
     "ModulatedMAProcess",
@@ -82,12 +82,10 @@ class TimeVaryingFilterProcess:
             raise ValueError(f"half_width must be nonnegative, got {self.half_width!r}")
         if not (np.isfinite(self.noise_floor) and self.noise_floor >= 0):
             raise ValueError(f"noise_floor must be nonnegative, got {self.noise_floor!r}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
         object.__setattr__(self, "half_width", int(self.half_width))
         object.__setattr__(self, "noise_floor", float(self.noise_floor))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", check_dt(self.dt))
 
 
 @dataclass(frozen=True)
@@ -130,9 +128,7 @@ class TheoreticalCovariance:
 
 def locally_stationary_process(length: int = 512, seed: int = 0) -> ModulatedMAProcess:
     """Slowly breathing moving average: amplitude follows a parabola over the record."""
-    length = int(length)
-    if length < 2:
-        raise ValueError(f"length must be at least 2, got {length}")
+    length = check_n(length)
 
     def modulation(t: np.ndarray) -> np.ndarray:
         u = np.asarray(t, dtype=float) / length
@@ -186,9 +182,7 @@ def chirp_filter_process(seed: int = 0) -> TimeVaryingFilterProcess:
 
 def gen_modulated_ma(p: ModulatedMAProcess, n: int, dt: float = 1.0) -> TimeSeries:
     """Draw ``n`` samples of a modulated moving average."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = check_n(n)
     w = np.asarray(p.weights)
     lags = w.size - 1
     rng = np.random.default_rng(p.seed)
@@ -210,9 +204,7 @@ def gen_aggregation(n: int, seed: int = 0, dt: float = 1.0) -> TimeSeries:
 
 def gen_tv_filter(p: TimeVaryingFilterProcess, n: int) -> TimeSeries:
     """Draw ``n`` samples through a time-varying filter plus a white floor."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = check_n(n)
     m = p.half_width
     rng = np.random.default_rng(p.seed)
     eps = rng.standard_normal(n + 2 * m)
@@ -230,9 +222,7 @@ def gen_tv_filter(p: TimeVaryingFilterProcess, n: int) -> TimeSeries:
 
 def gen_white_noise(n: int, seed: int = 0, sigma: float = 1.0, dt: float = 1.0) -> TimeSeries:
     """I.i.d. Gaussian samples with standard deviation ``sigma``."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = check_n(n)
     rng = np.random.default_rng(seed)
     return TimeSeries(sigma * rng.standard_normal(n), dt=dt)
 
@@ -246,9 +236,7 @@ def theoretical_covariance(
     p: ModulatedMAProcess | TimeVaryingFilterProcess | AggregationProcess, n: int
 ) -> TheoreticalCovariance:
     """Population covariance matrix of ``n`` consecutive samples of ``p``."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = check_n(n)
     if isinstance(p, ModulatedMAProcess):
         w = np.asarray(p.weights)
         lags = w.size - 1
@@ -305,14 +293,9 @@ def stationary_emaf_expectation(
     where ``D_c(x) = sin(pi c x)/sin(pi x)``.  Lags beyond the autocovariance
     length have expectation zero.
     """
-    n = int(n)
-    tau = int(tau)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n, dt, tau = check_n(n), check_dt(dt), int(tau)
     if not -n < tau < n:
         raise ValueError(f"lag {tau} out of range for n={n}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
     m_tilde = np.asarray(m_tilde, dtype=float)
     if abs(tau) >= m_tilde.size:
         return 0.0 + 0.0j
@@ -348,12 +331,8 @@ def whitenoise_af_covariance(
     covariance and its relation term, so Monte Carlo averages match it
     without an asymptotic gap.
     """
-    n = int(n)
+    n, dt = check_n(n), check_dt(dt)
     tau1, j1, tau2, j2 = int(tau1), int(j1), int(tau2), int(j2)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
     for tau in (tau1, tau2):
@@ -385,12 +364,8 @@ def whitenoise_af_covariance_limit(
     edge terms stay at the percent level regardless of ``n``, so the exact
     evaluation is preferred whenever the value matters.
     """
-    n = int(n)
+    n, dt = check_n(n), check_dt(dt)
     tau1, j1, tau2, j2 = int(tau1), int(j1), int(tau2), int(j2)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
     if j1 != j2:

@@ -8,68 +8,69 @@ the real part of the analytic samples reproduces the input exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TimeSeries", "AnalyticSeries", "demean", "analytic_signal"]
+__all__ = ["TimeSeries", "AnalyticSeries", "check_dt", "check_n", "demean", "analytic_signal"]
+
+
+def check_dt(dt: float) -> float:
+    """The sampling period as a float: any finite real number above zero, but not a bool."""
+    real = isinstance(dt, numbers.Real) and not isinstance(dt, bool)
+    if not (real and np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be a positive finite float, got {dt!r}")
+    return float(dt)
+
+
+def check_n(n: int) -> int:
+    """The record length as an int: at least two samples."""
+    n = int(n)
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
-class TimeSeries:
+class _Series:
+    """Finite one-dimensional samples on the uniform grid ``t_k = k * dt``."""
+
+    samples: np.ndarray
+    dt: float = 1.0
+    n: int = field(init=False)
+
+    @staticmethod
+    def _values(raw: np.ndarray) -> np.ndarray:
+        return np.asarray(raw, dtype=complex)
+
+    def __post_init__(self) -> None:
+        samples = self._values(np.asarray(self.samples))
+        if samples.ndim != 1:
+            raise ValueError(f"samples must be one-dimensional, got shape {samples.shape}")
+        object.__setattr__(self, "n", check_n(samples.size))
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples contain NaN or infinity")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "dt", check_dt(self.dt))
+
+    def times(self) -> np.ndarray:
+        """Sample times ``k * dt`` for ``k = 0, ..., n-1``."""
+        return self.dt * np.arange(self.n)
+
+
+class TimeSeries(_Series):
     """Real-valued samples on the uniform grid ``t_k = k * dt``."""
 
-    samples: np.ndarray
-    dt: float = 1.0
-    n: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        raw = np.asarray(self.samples)
+    @staticmethod
+    def _values(raw: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(raw):
             raise ValueError("samples must be real-valued")
-        samples = raw.astype(float)
-        if samples.ndim != 1:
-            raise ValueError(f"samples must be one-dimensional, got shape {samples.shape}")
-        if samples.size < 2:
-            raise ValueError(f"need at least 2 samples, got {samples.size}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples contain NaN or infinity")
-        if not (isinstance(self.dt, (int, float)) and np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be a positive finite float, got {self.dt!r}")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "n", samples.size)
-
-    def times(self) -> np.ndarray:
-        """Sample times ``k * dt`` for ``k = 0, ..., n-1``."""
-        return self.dt * np.arange(self.n)
+        return raw.astype(float)
 
 
-@dataclass(frozen=True)
-class AnalyticSeries:
+class AnalyticSeries(_Series):
     """Complex-valued analytic samples on the same grid as the source series."""
-
-    samples: np.ndarray
-    dt: float = 1.0
-    n: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=complex)
-        if samples.ndim != 1:
-            raise ValueError(f"samples must be one-dimensional, got shape {samples.shape}")
-        if samples.size < 2:
-            raise ValueError(f"need at least 2 samples, got {samples.size}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples contain NaN or infinity")
-        if not (isinstance(self.dt, (int, float)) and np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be a positive finite float, got {self.dt!r}")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "n", samples.size)
-
-    def times(self) -> np.ndarray:
-        """Sample times ``k * dt`` for ``k = 0, ..., n-1``."""
-        return self.dt * np.arange(self.n)
 
 
 def demean(x: TimeSeries) -> TimeSeries:
@@ -83,8 +84,7 @@ def analytic_spectrum_weights(n: int) -> np.ndarray:
     Weight 1 at DC, 2 on strictly positive frequencies, 0 on negative ones.
     For even ``n`` the Nyquist bin sits on the boundary and keeps weight 1.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
+    n = check_n(n)
     w = np.zeros(n)
     w[0] = 1.0
     if n % 2 == 0:

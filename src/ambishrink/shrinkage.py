@@ -16,7 +16,7 @@ from __future__ import annotations
 import ctypes
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from scipy.special import expit, logit, ndtr, ndtri
 
 from .ambiguity import AmbiguityGrid, LagTimeMoments, emaf, normalization, normalize, raw_moments
 from .covariance import invert_af
-from .series import TimeSeries, analytic_signal, demean
+from .series import TimeSeries, analytic_signal, check_dt, demean
 
 __all__ = [
     "ShrinkageParams",
@@ -89,10 +89,8 @@ class ThresholdField:
             raise ValueError("theta values must lie in [0, 1]")
         if theta[(rows - 1) // 2, cols // 2] != 1.0:
             raise ValueError("the origin coefficient must keep theta = 1")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", check_dt(self.dt))
 
 
 class FitConvergenceError(RuntimeError):
@@ -226,15 +224,20 @@ def fit(a: AmbiguityGrid) -> ShrinkageParams:
     :class:`FitConvergenceError` carrying the best parameters found.  The
     returned ``nll`` is the attained weighted objective.  The search runs
     with scipy's OpenBLAS held to one thread (see :func:`_one_blas_thread`).
+    Magnitudes whose weighted squares sum past the float range raise
+    ``ValueError`` before the search, without a floating-point warning.
     """
     if not a.normalized:
         raise ValueError("fit expects a normalized grid")
     q, w = _fit_cells(a)
     if np.any(q == 0):
         raise ValueError("zero magnitudes make the mixture likelihood singular")
-    qsq = q * q
-    wqsq = w * qsq
-    w_sum, wqsq_sum = float(np.sum(w)), float(np.sum(wqsq))
+    with np.errstate(over="ignore"):
+        qsq = q * q
+        wqsq = w * qsq
+        w_sum, wqsq_sum = float(np.sum(w)), float(np.sum(wqsq))
+    if not np.isfinite(wqsq_sum):
+        raise ValueError("squared magnitudes overflow floating point")
     const = -float(np.sum(w * np.log(2.0 * q)))
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -328,13 +331,8 @@ def threshold_field(params: ShrinkageParams, a: AmbiguityGrid) -> ThresholdField
 
 def apply_threshold(a: AmbiguityGrid, t: ThresholdField) -> AmbiguityGrid:
     """Attenuate grid entries by the threshold factors."""
-    if t.theta.shape != a.entries.shape:
-        raise ValueError(
-            f"field shape {t.theta.shape} does not match grid shape {a.entries.shape}"
-        )
-    return AmbiguityGrid(
-        a.entries * t.theta, dt=a.dt, normalized=a.normalized, delta=a.delta
-    )
+    a.check_shape("field", t.theta.shape)
+    return replace(a, entries=a.entries * t.theta)
 
 
 def equivalent_kernel(t: ThresholdField) -> np.ndarray:

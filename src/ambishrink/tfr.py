@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .ambiguity import AmbiguityGrid, LagTimeMoments
-from .series import AnalyticSeries
+from .series import AnalyticSeries, check_dt
 
 __all__ = [
     "TFRGrid",
@@ -25,9 +25,17 @@ __all__ = [
     "spectrogram",
     "dual_frequency",
     "window_bank",
+    "check_alpha",
 ]
 
 TimeKernel = Callable[[int, np.ndarray], np.ndarray]
+
+
+def check_alpha(alpha: float) -> float:
+    """The re-centering parameter as a float in ``[-1/2, 1/2]``."""
+    if not -0.5 <= alpha <= 0.5:
+        raise ValueError(f"alpha must lie in [-1/2, 1/2], got {alpha!r}")
+    return float(alpha)
 
 
 @dataclass(frozen=True)
@@ -55,13 +63,9 @@ class TFRGrid:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("surface values must be finite")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if not (np.isfinite(self.alpha) and -0.5 <= self.alpha <= 0.5):
-            raise ValueError(f"alpha must lie in [-1/2, 1/2], got {self.alpha!r}")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "dt", check_dt(self.dt))
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         object.__setattr__(self, "n", values.shape[0])
 
     def frequencies(self) -> np.ndarray:
@@ -127,8 +131,7 @@ def bilinear(
     ``(tau, offsets)`` to one weight per time offset; pass ``kernel_name``
     so the surface can label itself.
     """
-    if not (np.isfinite(alpha) and -0.5 <= alpha <= 0.5):
-        raise ValueError(f"alpha must lie in [-1/2, 1/2], got {alpha!r}")
+    alpha = check_alpha(alpha)
     n = m.n
     recentred = _interpolated_moment_rows(m, alpha)
     if kernel is None:

@@ -559,3 +559,55 @@ class TestSingleSources:
         for key, value in values.items():
             if key != "outdir":
                 assert summary[key] == value, key
+
+
+class TestWriteFailure:
+    def test_unwritable_artifact_exits_2(self, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        (outdir / "emaf.mat").mkdir(parents=True)
+        assert main(["analyze", "--input", "whitenoise", "--n", "16", "--outdir", str(outdir)]) == 2
+        assert_one_error_line(capsys, "cannot write output")
+
+
+class TestErrorsNameTheirSetting:
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["analyze", "--input", "whitenoise", "--n", "16", "--kernel", "hann:x"], "kernel"),
+            (["analyze", "--config", "{cfg}"], "'n'"),
+            (["riskbench", "whitenoise", "--reps", "1", "--n", "16", "--seed", "-1"], "seed"),
+            (["simulate", "tvchirp", "--n", "16", "--seed", "-1"], "seed"),
+            (["analyze", "--input", "whitenoise", "--n", "16", "--dt", "nan"], "dt must be a"),
+        ],
+        ids=["kernel-spec", "config-value", "riskbench-seed", "simulate-seed", "analyze-dt"],
+    )
+    def test_one_line_names_the_flag_or_key(self, tmp_path, capsys, argv, fragment):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("input=whitenoise\nn=abc\n")
+        argv = [arg.format(cfg=cfg) for arg in argv]
+        out = ["--outdir" if argv[0] == "analyze" else "--out", str(tmp_path / "r")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + out) == 2
+        assert_one_error_line(capsys, fragment)
+        assert not (tmp_path / "r").exists()
+
+
+class TestAmplitudeRange:
+    @pytest.fixture(scope="class")
+    def record(self):
+        return gen_aggregation(64, seed=1).samples
+
+    @pytest.mark.parametrize("scale", [1e-75, 1e75])
+    def test_scaled_record_is_estimated(self, tmp_path, record, scale):
+        sig = tmp_path / "x.sig"
+        write_signal(sig, TimeSeries(scale * record))
+        assert main(["analyze", "--input", str(sig), "--outdir", str(tmp_path / "r")]) == 0
+
+    def test_overflowing_record_exits_2_with_one_line(self, tmp_path, capsys, record):
+        sig = tmp_path / "x.sig"
+        write_signal(sig, TimeSeries(1e80 * record))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--input", str(sig), "--outdir", str(tmp_path / "r")]) == 2
+        assert_one_error_line(capsys, "overflow")
