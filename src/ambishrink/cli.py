@@ -25,12 +25,12 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, get_type_hints
+from typing import Callable, NamedTuple, NoReturn, get_type_hints
 
 import numpy as np
 
 from .ambiguity import check_delta
-from .covariance import assemble, correct
+from .covariance import CORRECTIONS, assemble, correct
 from .diagnostics import qq_normalized_af, qq_ranks, risk_report, variance_reduction_probe
 from .procgen import (
     AggregationProcess,
@@ -118,7 +118,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dt", check_dt(self.dt))
         object.__setattr__(self, "delta", check_delta(self.delta))
-        if self.correction not in ("shift", "clip"):
+        if self.correction not in CORRECTIONS:
             raise ValueError(f"correction must be shift or clip, got {self.correction!r}")
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
         _check_seed(self.seed)
@@ -298,7 +298,7 @@ def _analyze_into(outdir: Path, cfg: PipelineConfig, x: TimeSeries, kernel) -> i
 
     cov_est = assemble(est.m_eb)
     cov = correct(cov_est, cfg.correction)
-    tfr = bilinear(est.m_eb, alpha=cfg.alpha, kernel=kernel, kernel_name=cfg.kernel).values
+    tfr = bilinear(est.m_eb, alpha=cfg.alpha, kernel=kernel).values
     theta, mineig = est.theta.theta, cov.min_eigenvalue()
     _write_estimate(
         outdir, cfg, theta, est.af_eb.entries, est.m_eb.entries, cov.entries, mineig, tfr
@@ -378,8 +378,14 @@ def _analyze_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**merged)  # type: ignore[arg-type]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Raise a usage error as ``ValueError``, which :func:`main` reports via :func:`_fail`."""
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ambishrink",
         description="Shrinkage estimation of time-varying second-order structure.",
     )
@@ -397,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--outdir", default=None, help="artifact directory (default analysis)")
     ana.add_argument("--dt", type=float, default=None)
     ana.add_argument("--delta", type=float, default=None, help="normalization exponent")
-    ana.add_argument("--correction", choices=("shift", "clip"), default=None)
+    ana.add_argument("--correction", choices=CORRECTIONS, default=None)
     ana.add_argument("--alpha", type=float, default=None, help="surface re-centering")
     ana.add_argument("--kernel", default=None, help="delta, <kind>:<length>, or hermite:<length>:<order>")
     ana.add_argument("--seed", type=int, default=None, help="seed when input is a preset")
@@ -410,13 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
     rb.add_argument("--n", type=int, default=512)
     rb.add_argument("--seed", type=int, default=0)
     rb.add_argument("--dt", type=float, default=1.0)
-    rb.add_argument("--correction", choices=("shift", "clip"), default="clip")
+    rb.add_argument("--correction", choices=CORRECTIONS, default="clip")
     rb.add_argument("--out", default="riskbench.txt")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as err:
+        return _fail(str(err))
     if args.command == "simulate":
         try:
             _check_seed(args.seed)

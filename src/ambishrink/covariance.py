@@ -9,36 +9,32 @@ clipping the negative part.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .ambiguity import AmbiguityGrid, LagTimeMoments, lag_index, lag_support_mask
 
-__all__ = ["HermitianCovariance", "invert_af", "assemble", "correct"]
+__all__ = ["CORRECTIONS", "HermitianCovariance", "invert_af", "assemble", "correct"]
 
-_CORRECTIONS = ("none", "shift", "clip")
+CORRECTIONS = ("shift", "clip")
 
 
 @dataclass(frozen=True)
 class HermitianCovariance:
-    """Hermitian covariance estimate and its repair state.
+    """Hermitian covariance estimate.
 
-    ``correction`` records which repair (if any) produced ``entries``.
     ``eigenvalues`` are real and sorted in non-increasing order.  They come
     from one ``np.linalg.eigh`` of ``entries``, run on first use and shared
-    with :func:`correct`, unless the caller already knows them and passes
-    them as ``spectrum`` (non-increasing), as :func:`correct` does for its
-    result; then the matrix is never decomposed.
+    with :func:`correct`, whose result is handed the spectrum it already
+    knows and is never decomposed.
     """
 
     entries: np.ndarray
-    correction: str = "none"
-    spectrum: InitVar[np.ndarray | None] = None
     n: int = field(init=False)
 
-    def __post_init__(self, spectrum: np.ndarray | None) -> None:
+    def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
@@ -47,19 +43,6 @@ class HermitianCovariance:
         scale = max(float(np.max(np.abs(entries))), 1.0)
         if np.max(np.abs(entries - entries.conj().T)) > 1e-10 * scale:
             raise ValueError("entries are not Hermitian")
-        if self.correction not in _CORRECTIONS:
-            raise ValueError(
-                f"correction must be one of {_CORRECTIONS}, got {self.correction!r}"
-            )
-        if spectrum is not None:
-            eig = np.array(spectrum, dtype=float)
-            if eig.shape != (entries.shape[0],):
-                raise ValueError(
-                    f"expected {entries.shape[0]} eigenvalues, got shape {eig.shape}"
-                )
-            if np.any(np.diff(eig) > 0):
-                raise ValueError("eigenvalues must be sorted in non-increasing order")
-            object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "n", entries.shape[0])
 
@@ -105,6 +88,13 @@ def assemble(m: LagTimeMoments) -> HermitianCovariance:
     return HermitianCovariance(0.5 * (b + b.conj().T))
 
 
+def _with_spectrum(entries: np.ndarray, ascending: np.ndarray) -> HermitianCovariance:
+    """The covariance of ``entries``, whose ``ascending`` eigenvalues the caller already holds."""
+    out = HermitianCovariance(entries)
+    object.__setattr__(out, "eigenvalues", ascending[::-1].copy())
+    return out
+
+
 def correct(c: HermitianCovariance, method: str = "clip") -> HermitianCovariance:
     """Repair negative eigenvalues by spectrum shift or eigenvalue clipping.
 
@@ -113,14 +103,13 @@ def correct(c: HermitianCovariance, method: str = "clip") -> HermitianCovariance
     negative eigenvalues with zero in the eigenbasis.  Either way the result
     has eigenvalues bounded below by a rounding-level multiple of the trace.
     """
-    if method not in ("shift", "clip"):
+    if method not in CORRECTIONS:
         raise ValueError(f"method must be 'shift' or 'clip', got {method!r}")
     eigvals, eigvecs = c._eigh
     if method == "shift":
         low = min(float(eigvals[0]), 0.0)
         entries = c.entries - low * np.eye(c.n) if low < 0 else c.entries
-        return HermitianCovariance(entries, "shift", (eigvals - low)[::-1])
+        return _with_spectrum(entries, eigvals - low)
     clipped = np.maximum(eigvals, 0.0)
     entries = (eigvecs * clipped) @ eigvecs.conj().T
-    entries = 0.5 * (entries + entries.conj().T)
-    return HermitianCovariance(entries, "clip", clipped[::-1])
+    return _with_spectrum(0.5 * (entries + entries.conj().T), clipped)

@@ -36,7 +36,6 @@ class QQData:
 
     sample_quantiles: np.ndarray
     theoretical_quantiles: np.ndarray
-    component: str
 
     def __post_init__(self) -> None:
         sample = np.asarray(self.sample_quantiles, dtype=float)
@@ -48,8 +47,6 @@ class QQData:
             )
         if np.any(np.diff(sample) < 0) or np.any(np.diff(theory) < 0):
             raise ValueError("quantile sequences must be sorted ascending")
-        if self.component not in ("real", "imaginary"):
-            raise ValueError(f"component must be real or imaginary, got {self.component!r}")
         object.__setattr__(self, "sample_quantiles", sample)
         object.__setattr__(self, "theoretical_quantiles", theory)
 
@@ -92,7 +89,7 @@ def qq_ranks(count: int) -> np.ndarray:
 
 
 def qq_normalized_af(a: AmbiguityGrid, vbar: float) -> tuple[QQData, QQData]:
-    """Plot-sized QQ data of the real and imaginary parts of a normalized grid.
+    """Plot-sized QQ data of the real and imaginary parts of a normalized grid, in that order.
 
     All ``m`` off-origin coefficients are standardized by ``sqrt(vbar / 2)``,
     the per-component standard deviation the background model implies, and
@@ -116,10 +113,10 @@ def qq_normalized_af(a: AmbiguityGrid, vbar: float) -> tuple[QQData, QQData]:
     ranks = qq_ranks(coeffs.size)
     positions = ndtri((ranks + 0.5) / coeffs.size)
 
-    def one(component: np.ndarray, tag: str) -> QQData:
-        return QQData(np.sort(component / scale)[ranks], positions, tag)
+    def one(part: np.ndarray) -> QQData:
+        return QQData(np.sort(part / scale)[ranks], positions)
 
-    return one(coeffs.real, "real"), one(coeffs.imag, "imaginary")
+    return one(coeffs.real), one(coeffs.imag)
 
 
 def risk_report(

@@ -8,6 +8,7 @@ the real part of the analytic samples reproduces the input exactly.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -18,8 +19,11 @@ __all__ = ["TimeSeries", "AnalyticSeries", "check_dt", "check_n", "demean", "ana
 
 def check_dt(dt: float) -> float:
     """The sampling period as a float: any finite real number above zero, but not a bool."""
-    real = isinstance(dt, numbers.Real) and not isinstance(dt, bool)
-    if not (real and np.isfinite(dt) and dt > 0):
+    try:  # a real number too large for a float is not finite
+        ok = isinstance(dt, numbers.Real) and not isinstance(dt, bool) and math.isfinite(dt)
+    except OverflowError:
+        ok = False
+    if not (ok and float(dt) > 0):
         raise ValueError(f"dt must be a positive finite float, got {dt!r}")
     return float(dt)
 

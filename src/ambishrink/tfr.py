@@ -40,19 +40,15 @@ def check_alpha(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class TFRGrid:
-    """Complex surface over (time, frequency) with its construction tags.
+    """Complex surface over (time, frequency).
 
     ``values[n, c]`` is the surface at time ``n * dt`` and frequency
     ``(c - N) / (2 N dt)``, the same doubled dual grid the ambiguity domain
-    uses, so the column count is exactly twice the row count.  ``kernel``
-    is a human-readable label of the time-smoothing kernel, kept so that
-    emitted artifacts can name their own provenance.
+    uses, so the column count is exactly twice the row count.
     """
 
     values: np.ndarray
     dt: float = 1.0
-    alpha: float = 0.5
-    kernel: str = "delta"
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -65,7 +61,6 @@ class TFRGrid:
             raise ValueError("surface values must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dt", check_dt(self.dt))
-        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         object.__setattr__(self, "n", values.shape[0])
 
     def frequencies(self) -> np.ndarray:
@@ -116,20 +111,14 @@ def _interpolated_moment_rows(m: LagTimeMoments, alpha: float) -> np.ndarray:
     return (1.0 - frac) * value_at(lo) + frac * value_at(lo + 1)
 
 
-def bilinear(
-    m: LagTimeMoments,
-    alpha: float = 0.5,
-    kernel: TimeKernel | None = None,
-    kernel_name: str = "delta",
-) -> TFRGrid:
+def bilinear(m: LagTimeMoments, alpha: float = 0.5, kernel: TimeKernel | None = None) -> TFRGrid:
     """Bilinear surface of the moment grid at re-centering ``alpha``.
 
     Computes ``S(t_n, f_j) = dt^2 sum_tau sum_k w_tau((k - n) dt)
     M_tau((k + (1/2 - alpha) tau) dt) exp(-2 pi i tau f_j dt)`` where the
     default kernel is the discrete delta of height ``1/dt`` at offset zero,
     i.e. no time smoothing.  A custom kernel is a callable mapping
-    ``(tau, offsets)`` to one weight per time offset; pass ``kernel_name``
-    so the surface can label itself.
+    ``(tau, offsets)`` to one weight per time offset.
     """
     alpha = check_alpha(alpha)
     n = m.n
@@ -150,7 +139,7 @@ def bilinear(
             smoothed[i] = full[n - 1 : 2 * n - 1]
         factor = m.dt**2
     values = factor * _lag_axis_transform(smoothed, n).T
-    return TFRGrid(values, dt=m.dt, alpha=alpha, kernel=kernel_name)
+    return TFRGrid(values, dt=m.dt)
 
 
 def spectrogram(z: AnalyticSeries, window: np.ndarray) -> TFRGrid:
@@ -180,7 +169,7 @@ def spectrogram(z: AnalyticSeries, window: np.ndarray) -> TFRGrid:
         windowed[t, lo:hi] = h[lo - (t - half) : hi - (t - half)] * samples[lo:hi]
     spectra = np.fft.fftshift(np.fft.fft(windowed, n=2 * n, axis=1), axes=1)
     values = z.dt * np.abs(spectra) ** 2
-    return TFRGrid(values.astype(complex), dt=z.dt, alpha=0.0, kernel="spectrogram")
+    return TFRGrid(values.astype(complex), dt=z.dt)
 
 
 def dual_frequency(a: AmbiguityGrid) -> np.ndarray:

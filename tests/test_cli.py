@@ -578,8 +578,22 @@ class TestErrorsNameTheirSetting:
             (["riskbench", "whitenoise", "--reps", "1", "--n", "16", "--seed", "-1"], "seed"),
             (["simulate", "tvchirp", "--n", "16", "--seed", "-1"], "seed"),
             (["analyze", "--input", "whitenoise", "--n", "16", "--dt", "nan"], "dt must be a"),
+            (["analyze", "--input", "whitenoise", "--n", "abc"], "--n"),
+            (["riskbench", "whitenoise", "--n", "16"], "--reps"),
+            (["analyze", "--input", "whitenoise", "--correction", "foo"], "--correction"),
+            (["analyze", "--input", "whitenoise", "--n", "16", "--bogus"], "--bogus"),
         ],
-        ids=["kernel-spec", "config-value", "riskbench-seed", "simulate-seed", "analyze-dt"],
+        ids=[
+            "kernel-spec",
+            "config-value",
+            "riskbench-seed",
+            "simulate-seed",
+            "analyze-dt",
+            "parse-int",
+            "required-flag",
+            "bad-choice",
+            "unknown-flag",
+        ],
     )
     def test_one_line_names_the_flag_or_key(self, tmp_path, capsys, argv, fragment):
         cfg = tmp_path / "run.cfg"

@@ -34,20 +34,11 @@ class TestHermitianCovarianceType:
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianCovariance(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_rejects_unknown_correction_tag(self):
-        with pytest.raises(ValueError, match="correction"):
-            HermitianCovariance(np.eye(2), correction="magic")
-
     def test_eigenvalues_computed_descending(self):
         c = HermitianCovariance(np.diag([1.0, 3.0, 2.0]).astype(complex))
         np.testing.assert_allclose(c.eigenvalues, [3.0, 2.0, 1.0])
         assert c.min_eigenvalue() == pytest.approx(1.0)
         assert c.trace() == pytest.approx(6.0)
-
-
-    def test_rejects_unsorted_spectrum(self):
-        with pytest.raises(ValueError, match="non-increasing"):
-            HermitianCovariance(np.eye(2), spectrum=np.array([0.0, 1.0]))
 
 
 class TestOneEigendecomposition:
@@ -169,20 +160,14 @@ class TestAssemble:
         b = 0.5 * (b + b.conj().T)
         np.testing.assert_allclose(c.entries, b, atol=1e-12)
 
-    def test_correction_tag_starts_as_none(self):
-        c = assemble(raw_moments(random_series(4, 8)))
-        assert c.correction == "none"
-
 
 class TestCorrect:
     def test_shift_and_clip_arithmetic(self):
         c = HermitianCovariance(np.diag([-1.0, 2.0]).astype(complex))
         shifted = correct(c, "shift")
         np.testing.assert_allclose(shifted.eigenvalues, [3.0, 0.0], atol=1e-12)
-        assert shifted.correction == "shift"
         clipped = correct(c, "clip")
         np.testing.assert_allclose(clipped.eigenvalues, [2.0, 0.0], atol=1e-12)
-        assert clipped.correction == "clip"
 
     def test_clip_is_noop_on_psd_input(self):
         rng = np.random.default_rng(9)

@@ -64,16 +64,11 @@ def aggregation_pipeline(n: int, seed: int):
 class TestQQDataType:
     def test_rejects_unsorted_samples(self):
         with pytest.raises(ValueError, match="sorted"):
-            QQData(np.array([1.0, 0.0]), np.array([-1.0, 1.0]), "real")
+            QQData(np.array([1.0, 0.0]), np.array([-1.0, 1.0]))
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="equally long"):
-            QQData(np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]), "real")
-
-    def test_rejects_unknown_component(self):
-        with pytest.raises(ValueError, match="component"):
-            QQData(np.array([0.0, 1.0]), np.array([0.0, 1.0]), "phase")
-
+            QQData(np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
 
 class TestQQNormalizedAF:
     def test_matched_background_gives_unit_slope(self):

@@ -68,7 +68,9 @@ DT_ENTRY_POINTS = {**DT_TYPES, **DT_FUNCTIONS}
 
 class TestSamplingPeriod:
     @pytest.mark.parametrize("name", DT_ENTRY_POINTS)
-    @pytest.mark.parametrize("dt", [0, -1, np.nan, np.inf, True], ids=repr)
+    @pytest.mark.parametrize(
+        "dt", [0, -1, np.nan, np.inf, True, pytest.param(10**400, id="10**400")], ids=repr
+    )
     def test_rejects(self, name, dt):
         with pytest.raises(ValueError, match="dt must be a positive finite float"):
             DT_ENTRY_POINTS[name](dt)

@@ -73,10 +73,6 @@ class TestTFRGridType:
         with pytest.raises(ValueError, match="shape"):
             TFRGrid(np.zeros((4, 6)))
 
-    def test_rejects_alpha_outside_range(self):
-        with pytest.raises(ValueError, match="alpha"):
-            TFRGrid(np.zeros((4, 8)), alpha=0.6)
-
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError, match="dt"):
             TFRGrid(np.zeros((4, 8)), dt=0.0)
@@ -161,7 +157,7 @@ class TestBilinear:
             return np.where(offsets == 0.0, 1.0 / 0.5, 0.0)
 
         np.testing.assert_allclose(
-            bilinear(m, alpha=0.5, kernel=delta, kernel_name="delta").values,
+            bilinear(m, alpha=0.5, kernel=delta).values,
             bilinear(m, alpha=0.5).values,
             atol=1e-12,
         )
@@ -172,10 +168,9 @@ class TestBilinear:
         def gauss(tau, offsets):
             return np.exp(-0.5 * (offsets / 1.5) ** 2)
 
-        surface = bilinear(m, alpha=0.0, kernel=gauss, kernel_name="gauss1.5")
+        surface = bilinear(m, alpha=0.0, kernel=gauss)
         expected = bilinear_reference(m, alpha=0.0, kernel=gauss)
         np.testing.assert_allclose(surface.values, expected, atol=1e-10)
-        assert surface.kernel == "gauss1.5"
 
     def test_wigner_of_exact_moments_is_real(self):
         m = hermitian_moments(8, seed=5)
