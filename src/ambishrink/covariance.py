@@ -9,10 +9,16 @@ clipping the negative part.
 
 from __future__ import annotations
 
+import ctypes
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
+import scipy
+from scipy.linalg import eigh
 
 from .ambiguity import AmbiguityGrid, LagTimeMoments, lag_index, lag_support_mask
 
@@ -21,14 +27,51 @@ __all__ = ["CORRECTIONS", "HermitianCovariance", "invert_af", "assemble", "corre
 CORRECTIONS = ("shift", "clip")
 
 
+@cache
+def _scipy_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS bundled with scipy, if it has a thread-local thread cap, else None."""
+    root = Path(scipy.__file__).parent
+    # Linux and Windows wheels keep it in scipy.libs, macOS wheels in scipy/.dylibs.
+    bundled = [*root.parent.glob("scipy.libs/libscipy_openblas*"), *root.glob(".dylibs/libscipy_openblas*")]
+    for path in sorted(bundled):
+        try:
+            lib = ctypes.CDLL(str(path))
+            lib.openblas_set_num_threads_local.restype = ctypes.c_int
+            return lib
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Cap scipy's OpenBLAS at one thread for the calling thread inside the block.
+
+    L-BFGS-B calls into OpenBLAS on every iteration, even for three
+    parameters, and the eigensolver of :func:`correct` runs on it too.  With
+    two threads allowed, either takes the same wall time but twice the CPU
+    time: the pool's workers spin on a second core, so how long it takes on
+    a shared machine depends on what else runs there.
+    """
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    previous = lib.openblas_set_num_threads_local(1)
+    try:
+        yield
+    finally:
+        lib.openblas_set_num_threads_local(previous)
+
+
 @dataclass(frozen=True)
 class HermitianCovariance:
     """Hermitian covariance estimate.
 
-    ``eigenvalues`` are real and sorted in non-increasing order.  They come
-    from one ``np.linalg.eigh`` of ``entries``, run on first use and shared
-    with :func:`correct`, whose result is handed the spectrum it already
-    knows and is never decomposed.
+    :meth:`min_eigenvalue` asks the eigensolver for the smallest eigenvalue
+    alone, on first use.  :func:`correct` records it on its input and its
+    result from the one decomposition it makes, so neither is decomposed
+    again.
     """
 
     entries: np.ndarray
@@ -47,19 +90,16 @@ class HermitianCovariance:
         object.__setattr__(self, "n", entries.shape[0])
 
     @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvectors of ``entries``."""
-        return np.linalg.eigh(self.entries)
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eigh[0][::-1].copy()
+    def _min_eig(self) -> float:
+        with _one_blas_thread():
+            low = eigh(self.entries, eigvals_only=True, subset_by_index=[0, 0])
+        return float(low[0])
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.entries)))
 
     def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[-1])
+        return self._min_eig
 
 
 def invert_af(a: AmbiguityGrid) -> LagTimeMoments:
@@ -88,28 +128,38 @@ def assemble(m: LagTimeMoments) -> HermitianCovariance:
     return HermitianCovariance(0.5 * (b + b.conj().T))
 
 
-def _with_spectrum(entries: np.ndarray, ascending: np.ndarray) -> HermitianCovariance:
-    """The covariance of ``entries``, whose ``ascending`` eigenvalues the caller already holds."""
-    out = HermitianCovariance(entries)
-    object.__setattr__(out, "eigenvalues", ascending[::-1].copy())
-    return out
+def _known_min(c: HermitianCovariance, low: float) -> HermitianCovariance:
+    """``c``, whose smallest eigenvalue ``low`` the caller already holds."""
+    object.__setattr__(c, "_min_eig", low)
+    return c
 
 
 def correct(c: HermitianCovariance, method: str = "clip") -> HermitianCovariance:
     """Repair negative eigenvalues by spectrum shift or eigenvalue clipping.
 
     ``shift`` adds ``-min_eig * I`` when the smallest eigenvalue is negative
-    and leaves an already nonnegative matrix untouched.  ``clip`` replaces
-    negative eigenvalues with zero in the eigenbasis.  Either way the result
-    has eigenvalues bounded below by a rounding-level multiple of the trace.
+    and leaves an already nonnegative matrix untouched; it needs only that
+    eigenvalue.  ``clip`` subtracts ``V diag(lam) V^H`` over the negative
+    eigenpairs ``(lam, V)``, which one ``scipy.linalg.eigh`` call returns
+    together with the smallest eigenvalue: it asks for the eigenvalues up to
+    the larger of zero and the smallest diagonal entry, plus a rounding
+    margin, and the smallest eigenvalue lies at or below every diagonal
+    entry.  Either way
+    the result has eigenvalues bounded below by a rounding-level multiple
+    of the trace.
     """
     if method not in CORRECTIONS:
         raise ValueError(f"method must be 'shift' or 'clip', got {method!r}")
-    eigvals, eigvecs = c._eigh
     if method == "shift":
-        low = min(float(eigvals[0]), 0.0)
+        low = c.min_eigenvalue()
         entries = c.entries - low * np.eye(c.n) if low < 0 else c.entries
-        return _with_spectrum(entries, eigvals - low)
-    clipped = np.maximum(eigvals, 0.0)
-    entries = (eigvecs * clipped) @ eigvecs.conj().T
-    return _with_spectrum(0.5 * (entries + entries.conj().T), clipped)
+        return _known_min(HermitianCovariance(entries), max(low, 0.0))
+    top = max(float(np.min(np.real(np.diag(c.entries)))), 0.0)
+    # rounding margin: n eps times n max|c|, a bound on the spectral norm
+    top += c.n**2 * np.finfo(float).eps * float(np.max(np.abs(c.entries)))
+    with _one_blas_thread():
+        lam, vecs = eigh(c.entries, subset_by_value=(-np.inf, top))
+    low, neg = float(lam[0]), lam < 0
+    _known_min(c, low)
+    entries = c.entries - (vecs[:, neg] * lam[neg]) @ vecs[:, neg].conj().T
+    return _known_min(HermitianCovariance(0.5 * (entries + entries.conj().T)), max(low, 0.0))

@@ -13,20 +13,14 @@ that is exactly zero for coefficients indistinguishable from background.
 
 from __future__ import annotations
 
-import ctypes
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cache
-from pathlib import Path
 
 import numpy as np
-import scipy
 from scipy.optimize import minimize
 from scipy.special import expit, logit, ndtr, ndtri
 
 from .ambiguity import AmbiguityGrid, LagTimeMoments, emaf, normalization, normalize, raw_moments
-from .covariance import invert_af
+from .covariance import _one_blas_thread, _scipy_openblas, invert_af
 from .series import TimeSeries, analytic_signal, check_dt, demean
 
 __all__ = [
@@ -150,6 +144,16 @@ def _log_odds(
     return logit_rho + np.log(vbar) - np.log(wide) + (1.0 / vbar - 1.0 / wide) * qsq
 
 
+def _expit_softplus(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``expit(d)`` and ``softplus(d) = log(1 + e^d)``, both from one ``e = exp(-|d|)``.
+
+    ``expit(d)`` is ``1 / (1 + e)`` for ``d >= 0`` and ``e / (1 + e)``
+    below, and ``softplus(d) = max(d, 0) + log1p(e)``; neither overflows.
+    """
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0, e) / (1.0 + e), np.maximum(d, 0.0) + np.log1p(e)
+
+
 def _fit_cells(a: AmbiguityGrid) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes and weights of the cells entering the mixture fit.
 
@@ -173,43 +177,6 @@ def _fit_cells(a: AmbiguityGrid) -> tuple[np.ndarray, np.ndarray]:
     return np.delete(np.abs(block).ravel(), origin), np.delete(weights, origin)
 
 
-@cache
-def _scipy_openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS bundled with scipy, if it has a thread-local thread cap, else None."""
-    root = Path(scipy.__file__).parent
-    # Linux and Windows wheels keep it in scipy.libs, macOS wheels in scipy/.dylibs.
-    bundled = [*root.parent.glob("scipy.libs/libscipy_openblas*"), *root.glob(".dylibs/libscipy_openblas*")]
-    for path in sorted(bundled):
-        try:
-            lib = ctypes.CDLL(str(path))
-            lib.openblas_set_num_threads_local.restype = ctypes.c_int
-            return lib
-        except (OSError, AttributeError):
-            continue
-    return None
-
-
-@contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Cap scipy's OpenBLAS at one thread for the calling thread inside the block.
-
-    L-BFGS-B calls into OpenBLAS on every iteration, even for three
-    parameters.  With two threads allowed, a fit takes the same wall time
-    but twice the CPU time: the pool's workers spin on a second core, so
-    how long a fit takes on a shared machine depends on what else runs
-    there.
-    """
-    lib = _scipy_openblas()
-    if lib is None:
-        yield
-        return
-    previous = lib.openblas_set_num_threads_local(1)
-    try:
-        yield
-    finally:
-        lib.openblas_set_num_threads_local(previous)
-
-
 def fit(a: AmbiguityGrid) -> ShrinkageParams:
     """Weighted maximum-likelihood mixture fit to the grid magnitudes.
 
@@ -217,7 +184,10 @@ def fit(a: AmbiguityGrid) -> ShrinkageParams:
     magnitudes (see :func:`_fit_cells`) in ``(log vbar, logit rho, log
     sigma2)`` from moment-based starting values, by L-BFGS-B with the
     closed-form gradient: every evaluation needs only the weighted sums of
-    the posterior signal probabilities ``r`` and of ``q^2 r``.  The search
+    the posterior signal probabilities ``r`` and of ``q^2 r``.  Each
+    evaluation takes one ``exp`` per fitted cell: the log-odds ``d`` give
+    ``e = exp(-|d|)``, and both ``r = expit(d)`` and the ``softplus(d)`` of
+    the log density come from it (see :func:`_expit_softplus`).  The search
     stops once a step lowers the objective by less than 1e-12 of its size
     or the largest gradient component drops below 1e-8, with a budget of
     10000 iterations.  A search that stops any other way raises
@@ -244,13 +214,12 @@ def fit(a: AmbiguityGrid) -> ShrinkageParams:
         vbar = np.exp(np.clip(x[0], -700.0, 700.0))
         sigma2 = np.exp(np.clip(x[2], -700.0, 700.0))
         wide = vbar + sigma2
-        d = _log_odds(x[1], vbar, sigma2, qsq)
-        r = expit(d)
+        r, softplus = _expit_softplus(_log_odds(x[1], vbar, sigma2, qsq))
         # np.sum of products, not BLAS dots: threaded ddot is slower here
         r_sum, qsq_r_sum = float(np.sum(w * r)), float(np.sum(wqsq * r))
         # log density = log(1 - rho) - log vbar - q^2 / vbar + softplus(d)
         value = const + w_sum * (np.logaddexp(0.0, x[1]) + np.log(vbar)) + wqsq_sum / vbar
-        value -= float(np.sum(w * np.logaddexp(0.0, d)))
+        value -= float(np.sum(w * softplus))
         # partial derivatives in (log vbar, logit rho, log sigma2)
         share = sigma2 / wide
         grad = [
@@ -314,25 +283,28 @@ def threshold_field(params: ShrinkageParams, a: AmbiguityGrid) -> ThresholdField
         raise ValueError("threshold_field expects a normalized grid")
     vbar, sigma2 = params.vbar, params.sigma2
     q = np.abs(a.entries)
-    rho_post = np.asarray(posterior_rho(params, q))
+    # rho_post > 1/2, which keeping needs, holds only where the log-odds are positive
+    rows, cols = np.nonzero(_log_odds(logit(params.rho), vbar, sigma2, q * q) > 0)
+    qc = q[rows, cols]
+    rho_post = posterior_rho(params, qc)
     lam = sigma2 / (sigma2 + vbar)
-    eta = ndtr(-np.sqrt(2.0 * lam) * q / np.sqrt(vbar))
-    keep = (rho_post * (1.0 - eta) > 0.5) & (q > 0)
+    eta = ndtr(-np.sqrt(2.0 * lam) * qc / np.sqrt(vbar))
+    keep = (rho_post * (1.0 - eta) > 0.5) & (qc > 0)
+    qk = qc[keep]
+    qmed = lam * qk + np.sqrt(lam * vbar / 2.0) * ndtri(1.0 - 1.0 / (2.0 * rho_post[keep]))
     theta = np.zeros_like(q)
-    if np.any(keep):
-        qk = q[keep]
-        qmed = lam * qk + np.sqrt(lam * vbar / 2.0) * ndtri(
-            1.0 - 1.0 / (2.0 * rho_post[keep])
-        )
-        theta[keep] = np.clip(qmed / qk, 0.0, 1.0)
+    theta[rows[keep], cols[keep]] = np.clip(qmed / qk, 0.0, 1.0)
     theta[a.n - 1, a.n] = 1.0
     return ThresholdField(theta, dt=a.dt)
 
 
 def apply_threshold(a: AmbiguityGrid, t: ThresholdField) -> AmbiguityGrid:
-    """Attenuate grid entries by the threshold factors."""
+    """Attenuate grid entries by the threshold factors; dropped cells hold ``+0.0``."""
     a.check_shape("field", t.theta.shape)
-    return replace(a, entries=a.entries * t.theta)
+    kept = t.theta > 0
+    entries = np.zeros_like(a.entries)
+    entries[kept] = a.entries[kept] * t.theta[kept]
+    return replace(a, entries=entries)
 
 
 def equivalent_kernel(t: ThresholdField) -> np.ndarray:

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
+import ambishrink.covariance as covariance
+
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Count calls of ``np.linalg.eigh`` and ``np.linalg.eigvalsh``."""
+    """Count calls of ``np.linalg.eigh``, ``np.linalg.eigvalsh`` and the ``eigh`` of ``covariance``."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
+    for namespace, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (covariance, "eigh")):
+        original = getattr(namespace, name)
 
         def counted(*args, _original=original, **kwargs):
             calls.append(_original.__name__)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(namespace, name, counted)
     return calls

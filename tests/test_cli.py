@@ -347,12 +347,16 @@ class TestCompactArtifacts:
         outdir, est = run
         theta = dense_from_sparse(outdir / "theta.mat")
         np.testing.assert_array_equal(theta.view(np.uint64), est.theta.theta.view(np.uint64))
-        # af_eb holds -0.0 where theta zeroed a negative part; the file drops those
-        # cells, so compare with zeros of one sign (x + 0.0 maps -0.0 to +0.0)
         af_eb = dense_from_sparse(outdir / "af_eb.mat")
-        np.testing.assert_array_equal(
-            af_eb.view(np.uint64), (est.af_eb.entries + 0.0).view(np.uint64)
-        )
+        np.testing.assert_array_equal(af_eb.view(np.uint64), est.af_eb.entries.view(np.uint64))
+
+    def test_dropped_cells_are_positive_zeros(self, tmp_path):
+        outdir = tmp_path / "agg"
+        assert main(["analyze", "--input", "aggregation512", "--n", "64", "--outdir", str(outdir)]) == 0
+        est = shrink(gen_aggregation(64, seed=0))
+        af_eb = dense_from_sparse(outdir / "af_eb.mat")
+        assert np.count_nonzero(af_eb) < af_eb.size
+        np.testing.assert_array_equal(af_eb.view(np.uint64), est.af_eb.entries.view(np.uint64))
 
     def test_zero_signal_layouts_match_a_nonzero_run(self, tmp_path):
         sig = tmp_path / "zero.sig"

@@ -1,11 +1,13 @@
 """Tests for the magnitude mixture fit and posterior-median thresholding."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize
-from scipy.special import expit, i0e, logit, ndtri
+from scipy.special import expit, i0e, logit, ndtr, ndtri
 
 import ambishrink.shrinkage as shrinkage_module
 from ambishrink.ambiguity import (
@@ -72,6 +74,47 @@ def fit_objective(monkeypatch, a: AmbiguityGrid):
 
     monkeypatch.setattr(shrinkage_module, "minimize", spy)
     return fit(a), seen["fun"], seen["x0"]
+
+
+def objective_oracle(a: AmbiguityGrid, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """The fit objective and its gradient, written with ``expit`` and ``logaddexp``."""
+    q, w = shrinkage_module._fit_cells(a)
+    qsq = q * q
+    vbar, sigma2 = np.exp(np.clip(x[0], -700.0, 700.0)), np.exp(np.clip(x[2], -700.0, 700.0))
+    wide = vbar + sigma2
+    d = x[1] + np.log(vbar) - np.log(wide) + (1.0 / vbar - 1.0 / wide) * qsq
+    r = expit(d)
+    w_sum, wqsq_sum = np.sum(w), np.sum(w * qsq)
+    r_sum, qsq_r_sum = np.sum(w * r), np.sum(w * qsq * r)
+    value = (
+        -np.sum(w * np.log(2.0 * q))
+        + w_sum * (np.logaddexp(0.0, x[1]) + np.log(vbar))
+        + wqsq_sum / vbar
+        - np.sum(w * np.logaddexp(0.0, d))
+    )
+    share = sigma2 / wide
+    grad = [
+        w_sum - wqsq_sum / vbar - share * (r_sum - qsq_r_sum * (1.0 / vbar + 1.0 / wide)),
+        expit(x[1]) * w_sum - r_sum,
+        share * (r_sum - qsq_r_sum / wide),
+    ]
+    return value, np.array(grad)
+
+
+def threshold_oracle(params: ShrinkageParams, a: AmbiguityGrid) -> np.ndarray:
+    """The posterior-median rule evaluated on every cell of the grid."""
+    vbar, sigma2 = params.vbar, params.sigma2
+    q = np.abs(a.entries)
+    rho_post = np.asarray(posterior_rho(params, q))
+    lam = sigma2 / (sigma2 + vbar)
+    eta = ndtr(-np.sqrt(2.0 * lam) * q / np.sqrt(vbar))
+    keep = (rho_post * (1.0 - eta) > 0.5) & (q > 0)
+    theta = np.zeros_like(q)
+    qk = q[keep]
+    qmed = lam * qk + np.sqrt(lam * vbar / 2.0) * ndtri(1.0 - 1.0 / (2.0 * rho_post[keep]))
+    theta[keep] = np.clip(qmed / qk, 0.0, 1.0)
+    theta[a.n - 1, a.n] = 1.0
+    return theta
 
 
 def draw_mixture_magnitudes(m: int, vbar: float, rho: float, sigma2: float, seed: int) -> np.ndarray:
@@ -361,6 +404,52 @@ class TestFit:
         assert (after_fit, after_error) == (2, 2)
 
 
+class TestOneExpObjective:
+    def test_kernel_matches_expit_and_logaddexp(self):
+        rng = np.random.default_rng(12)
+        d = np.concatenate([[800.0, -800.0, 1e-300, -1e-300, 0.0, -0.0], 40.0 * rng.standard_normal(2000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, softplus = shrinkage_module._expit_softplus(d)
+        np.testing.assert_allclose(r, expit(d), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(softplus, np.logaddexp(0.0, d), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [0.0, logit(0.01), np.log(50.0)],
+            [0.0, 800.0, np.log(50.0)],
+            [0.0, -800.0, np.log(50.0)],
+            [np.log(2.0), 0.0, -700.0],
+            [-0.5, -3.0, 1.0],
+        ],
+        ids=["start", "logit-rho-800", "logit-rho-minus-800", "log-odds-near-0", "generic"],
+    )
+    def test_objective_matches_the_expit_logaddexp_oracle(self, monkeypatch, x):
+        a = mixture_grid(16, 1.0, 0.05, 50.0, seed=2)
+        _, objective, _ = fit_objective(monkeypatch, a)
+        x = np.array(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = objective(x)
+        expected_value, expected_grad = objective_oracle(a, x)
+        assert value == pytest.approx(expected_value, rel=1e-13)
+        # at logit rho = -800 the posteriors, and two gradient terms, are sums of
+        # subnormals: relative agreement is asked for down to the normal range
+        np.testing.assert_allclose(grad, expected_grad, rtol=1e-13, atol=np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("n, seed", [(16, 7), (64, 3)])
+    def test_objective_matches_the_oracle_at_random_points(self, monkeypatch, n, seed):
+        a = mixture_grid(n, 1.0, 0.05, 50.0, seed=seed)
+        _, objective, x0 = fit_objective(monkeypatch, a)
+        rng = np.random.default_rng(seed)
+        for x in x0 + 3.0 * rng.standard_normal((20, 3)):
+            value, grad = objective(x)
+            expected_value, expected_grad = objective_oracle(a, x)
+            assert value == pytest.approx(expected_value, rel=1e-13)
+            np.testing.assert_allclose(grad, expected_grad, rtol=1e-13, atol=0)
+
+
 class TestShrink:
     def test_matches_the_stages_run_by_hand(self):
         x = gen_white_noise(16, seed=4)
@@ -515,6 +604,36 @@ class TestThresholdField:
         a = AmbiguityGrid(entries, dt=1.0, normalized=False)
         with pytest.raises(ValueError, match="normalized"):
             threshold_field(ShrinkageParams(1.0, 0.1, 1.0), a)
+
+
+class TestThresholdOnCandidates:
+    @pytest.mark.parametrize(
+        "grid",
+        [(224, 0.05, 50.0, 42), (48, 0.05, 30.0, 5), (8, 0.05, 50.0, 1), (16, 0.05, 50.0, 2)]
+        + [(n, 0.05, 50.0, 3) for n in (4, 9, 16)],
+        ids=str,
+    )
+    def test_mixture_grids_match_the_full_grid_rule_bitwise(self, grid):
+        n, rho, sigma2, seed = grid
+        a = mixture_grid(n, 1.0, rho, sigma2, seed=seed)
+        try:
+            fitted = fit(a)
+        except FitConvergenceError as err:
+            fitted = err.best
+        for params in (ShrinkageParams(1.0, rho, sigma2), fitted):
+            theta = threshold_field(params, a).theta
+            expected = threshold_oracle(params, a)
+            assert np.count_nonzero(expected) > 1
+            np.testing.assert_array_equal(theta.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("n, seed", [(64, 1), (64, 4), (128, 0), (128, 2)])
+    def test_aggregation_grids_match_the_full_grid_rule_bitwise(self, n, seed):
+        a = aggregation_grid(n, seed)
+        params = fit(a)
+        theta = threshold_field(params, a).theta
+        np.testing.assert_array_equal(
+            theta.view(np.uint64), threshold_oracle(params, a).view(np.uint64)
+        )
 
 
 class TestApplyThreshold:
