@@ -83,8 +83,7 @@ class HermitianCovariance:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
         if not np.all(np.isfinite(entries.view(float))):
             raise ValueError("entries contain NaN or infinity")
-        scale = max(float(np.max(np.abs(entries))), 1.0)
-        if np.max(np.abs(entries - entries.conj().T)) > 1e-10 * scale:
+        if np.max(np.abs(entries - entries.conj().T)) > 1e-10 * np.max(np.abs(entries)):
             raise ValueError("entries are not Hermitian")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "n", entries.shape[0])

@@ -233,8 +233,13 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "samples",
-        [np.full(16, 3.0), 1e-200 * np.random.default_rng(1).standard_normal(16)],
-        ids=["constant", "amplitude-1e-200"],
+        [
+            np.full(16, 3.0),
+            np.full(31, 0.1),
+            np.full(31, 0.3),
+            1e-200 * np.random.default_rng(1).standard_normal(16),
+        ],
+        ids=["constant", "constant-0.1", "constant-0.3", "amplitude-1e-200"],
     )
     def test_degenerate_record_exits_2(self, tmp_path, capsys, samples):
         sig = tmp_path / "flat.sig"

@@ -14,8 +14,9 @@ from ambishrink.ambiguity import (
 )
 from ambishrink.covariance import HermitianCovariance, assemble, correct, invert_af
 from ambishrink.diagnostics import risk_report
-from ambishrink.procgen import TheoreticalCovariance
-from ambishrink.series import AnalyticSeries
+from ambishrink.procgen import TheoreticalCovariance, gen_aggregation
+from ambishrink.series import AnalyticSeries, TimeSeries
+from ambishrink.shrinkage import shrink
 
 
 def random_series(n: int, seed: int, dt: float = 1.0) -> AnalyticSeries:
@@ -55,6 +56,21 @@ class TestHermitianCovarianceType:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianCovariance(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e20])
+    def test_rejects_non_hermitian_at_any_scale(self, scale):
+        with pytest.raises(ValueError, match="Hermitian"):
+            HermitianCovariance(scale * np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_record_scaled_by_1e_minus_75_gives_the_scaled_covariance(self):
+        x = gen_aggregation(64, seed=1)
+        covs = []
+        for scale in (1.0, 1e-75):
+            est = shrink(TimeSeries(scale * x.samples, dt=x.dt))
+            assert est.converged
+            covs.append(correct(assemble(est.m_eb)).entries)
+        # the two fits stop at their own relative tolerance, so psi agrees to about 1e-4
+        np.testing.assert_allclose(covs[1], 1e-150 * covs[0], rtol=0, atol=1e-3 * np.max(np.abs(covs[1])))
 
     def test_eigenvalues_computed_descending(self):
         c = HermitianCovariance(np.diag([1.0, 3.0, 2.0]).astype(complex))

@@ -20,7 +20,7 @@ from ambishrink.ambiguity import (
 )
 from ambishrink.covariance import invert_af
 from ambishrink.procgen import gen_aggregation, gen_white_noise
-from ambishrink.series import analytic_signal, demean
+from ambishrink.series import TimeSeries, analytic_signal, demean
 from ambishrink.shrinkage import (
     FitConvergenceError,
     ShrinkageParams,
@@ -450,7 +450,97 @@ class TestOneExpObjective:
             np.testing.assert_allclose(grad, expected_grad, rtol=1e-13, atol=0)
 
 
+def full_block_cells(a: AmbiguityGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The whole central block minus the origin, as :func:`_fit_cells` gave it before the mirror rule."""
+    n, h = a.n, a.n // 2
+    block = a.entries[n - 1 - h : n + h, n - h : n + h + 1]
+    origin = h * block.shape[1] + h
+    taus = np.arange(-h, h + 1)
+    weights = np.repeat((n - np.abs(taus)) / (2.0 * n), block.shape[1])
+    return np.delete(np.abs(block).ravel(), origin), np.delete(weights, origin)
+
+
+def record_grid(samples: np.ndarray, dt: float) -> AmbiguityGrid:
+    z = analytic_signal(demean(TimeSeries(samples, dt=dt)))
+    a = emaf(raw_moments(z))
+    return normalize(a, normalization(a.n, dt, 0.5))
+
+
+class TestMirrorHalfFit:
+    @pytest.mark.parametrize("n", [9, 10, 63, 64, 511, 512])
+    @pytest.mark.parametrize("dt", [1.0, 0.37])
+    def test_emaf_block_matches_its_point_mirror(self, n, dt):
+        a = record_grid(np.random.default_rng(n).standard_normal(n), dt)
+        h = n // 2
+        block = np.abs(a.entries[n - 1 - h : n + h, n - h : n + h + 1])
+        mirror = block[::-1, ::-1]
+        assert np.max(np.abs(block - mirror) / mirror) <= shrinkage_module._MIRROR_RTOL
+
+    @pytest.mark.parametrize("n", [9, 10, 64])
+    def test_emaf_grid_gives_the_post_origin_half_with_doubled_weights(self, n):
+        a = record_grid(gen_aggregation(n, seed=2).samples, 0.37)
+        full_q, full_w = full_block_cells(a)
+        half = full_q.size // 2
+        q, w = shrinkage_module._fit_cells(a)
+        np.testing.assert_array_equal(q, full_q[half:])
+        np.testing.assert_array_equal(w, 2.0 * full_w[half:])
+        assert np.sum(w) == pytest.approx(np.sum(full_w), rel=1e-14)
+
+    @pytest.mark.parametrize("cell", [(0, 1), (3, -2), (-4, 4)])
+    def test_one_perturbed_mirror_pair_gives_the_full_block(self, cell):
+        n = 16
+        a = record_grid(gen_aggregation(n, seed=3).samples, 1.0)
+        entries = a.entries.copy()
+        entries[cell[0] + n - 1, cell[1] + n] *= 1.0 + 1e-6
+        perturbed = AmbiguityGrid(entries, dt=a.dt, normalized=True)
+        q, w = shrinkage_module._fit_cells(perturbed)
+        full_q, full_w = full_block_cells(perturbed)
+        np.testing.assert_array_equal(q, full_q)
+        np.testing.assert_array_equal(w, full_w)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [(224, 0.05, 50.0, 42), (48, 0.05, 30.0, 5), (8, 0.05, 50.0, 1), (16, 0.05, 50.0, 2)]
+        + [(n, 0.05, 50.0, 3) for n in (9, 10)],
+        ids=str,
+    )
+    def test_iid_grids_fit_bitwise_as_the_full_block(self, monkeypatch, grid):
+        n, rho, sigma2, seed = grid
+        a = mixture_grid(n, 1.0, rho, sigma2, seed=seed)
+        results = []
+        for cells in (shrinkage_module._fit_cells, full_block_cells):
+            monkeypatch.setattr(shrinkage_module, "_fit_cells", cells)
+            try:
+                results.append(fit(a))
+            except FitConvergenceError as err:
+                results.append(err.best)
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize(
+        "make, n, seed",
+        [(gen_aggregation, 64, s) for s in range(4)]
+        + [(gen_aggregation, 128, 0), (gen_aggregation, 256, 1)]
+        + [(gen_white_noise, 64, s) for s in range(4)]
+        + [(gen_white_noise, 128, 0)],
+    )
+    def test_half_fit_matches_the_full_block_fit(self, monkeypatch, make, n, seed):
+        x = make(n, seed=seed)
+        a = record_grid(x.samples, x.dt)
+        half = fit(a)
+        monkeypatch.setattr(shrinkage_module, "_fit_cells", full_block_cells)
+        full = fit(a)
+        for name in ("vbar", "rho", "sigma2", "nll"):
+            assert getattr(half, name) == pytest.approx(getattr(full, name), rel=1e-7, abs=0)
+        kept = [np.count_nonzero(threshold_field(p, a).theta) for p in (half, full)]
+        assert kept[0] == kept[1]
+
+
 class TestShrink:
+    @pytest.mark.parametrize("value", [0.1, 0.3, 3.0])
+    def test_constant_record_raises(self, value):
+        with pytest.raises(ValueError, match="zero magnitudes"):
+            shrink(TimeSeries(np.full(31, value)))
+
     def test_matches_the_stages_run_by_hand(self):
         x = gen_white_noise(16, seed=4)
         est = shrink(x, delta=0.3)
