@@ -28,40 +28,42 @@ CORRECTIONS = ("shift", "clip")
 
 
 @cache
-def _scipy_openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS bundled with scipy, if it has a thread-local thread cap, else None."""
-    root = Path(scipy.__file__).parent
-    # Linux and Windows wheels keep it in scipy.libs, macOS wheels in scipy/.dylibs.
-    bundled = [*root.parent.glob("scipy.libs/libscipy_openblas*"), *root.glob(".dylibs/libscipy_openblas*")]
-    for path in sorted(bundled):
-        try:
-            lib = ctypes.CDLL(str(path))
-            lib.openblas_set_num_threads_local.restype = ctypes.c_int
-            return lib
-        except (OSError, AttributeError):
-            continue
-    return None
+def _bundled_openblas() -> tuple[ctypes.CDLL, ...]:
+    """The OpenBLAS libraries bundled with scipy and with numpy that have a thread-local thread cap."""
+    libs = []
+    for package in (scipy, np):
+        root = Path(package.__file__).parent
+        # Linux and Windows wheels keep it in <package>.libs, macOS wheels in <package>/.dylibs.
+        bundled = [*root.parent.glob(f"{root.name}.libs/libscipy_openblas*"), *root.glob(".dylibs/libscipy_openblas*")]
+        for path in sorted(bundled):
+            try:
+                lib = ctypes.CDLL(str(path))
+                lib.openblas_set_num_threads_local.argtypes = [ctypes.c_int]
+                lib.openblas_set_num_threads_local.restype = ctypes.c_int
+            except (OSError, AttributeError):
+                continue
+            libs.append(lib)
+            break
+    return tuple(libs)
 
 
 @contextmanager
 def _one_blas_thread() -> Iterator[None]:
-    """Cap scipy's OpenBLAS at one thread for the calling thread inside the block.
+    """Cap the OpenBLAS of scipy and of numpy at one thread for the calling thread inside the block.
 
-    L-BFGS-B calls into OpenBLAS on every iteration, even for three
-    parameters, and the eigensolver of :func:`correct` runs on it too.  With
-    two threads allowed, either takes the same wall time but twice the CPU
-    time: the pool's workers spin on a second core, so how long it takes on
-    a shared machine depends on what else runs there.
+    The eigensolver of :func:`correct` runs on scipy's OpenBLAS and the
+    product of its eigenvectors on numpy's.  With two threads allowed, the
+    pool's workers spin on a second core, during the call and after it, so
+    either call takes up to twice the CPU time and, on a shared machine,
+    more wall time too.
     """
-    lib = _scipy_openblas()
-    if lib is None:
-        yield
-        return
-    previous = lib.openblas_set_num_threads_local(1)
+    libs = _bundled_openblas()
+    previous = [lib.openblas_set_num_threads_local(1) for lib in libs]
     try:
         yield
     finally:
-        lib.openblas_set_num_threads_local(previous)
+        for lib, count in zip(libs, previous):
+            lib.openblas_set_num_threads_local(count)
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,8 @@ def correct(c: HermitianCovariance, method: str = "clip") -> HermitianCovariance
     top += c.n**2 * np.finfo(float).eps * float(np.max(np.abs(c.entries)))
     with _one_blas_thread():
         lam, vecs = eigh(c.entries, subset_by_value=(-np.inf, top))
-    low, neg = float(lam[0]), lam < 0
+        neg = lam < 0
+        entries = c.entries - (vecs[:, neg] * lam[neg]) @ vecs[:, neg].conj().T
+    low = float(lam[0])
     _known_min(c, low)
-    entries = c.entries - (vecs[:, neg] * lam[neg]) @ vecs[:, neg].conj().T
     return _known_min(HermitianCovariance(0.5 * (entries + entries.conj().T)), max(low, 0.0))

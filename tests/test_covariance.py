@@ -1,8 +1,11 @@
 """Tests for ambiguity inversion, covariance assembly, and PSD repair."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ambishrink.covariance as covariance
 from ambishrink.ambiguity import (
     AmbiguityGrid,
     LagTimeMoments,
@@ -69,8 +72,8 @@ class TestHermitianCovarianceType:
             est = shrink(TimeSeries(scale * x.samples, dt=x.dt))
             assert est.converged
             covs.append(correct(assemble(est.m_eb)).entries)
-        # the two fits stop at their own relative tolerance, so psi agrees to about 1e-4
-        np.testing.assert_allclose(covs[1], 1e-150 * covs[0], rtol=0, atol=1e-3 * np.max(np.abs(covs[1])))
+        # the fit's stopping rule is scale-free, so the covariances agree to about 2e-14
+        np.testing.assert_allclose(covs[1], 1e-150 * covs[0], rtol=0, atol=1e-10 * np.max(np.abs(covs[1])))
 
     def test_eigenvalues_computed_descending(self):
         c = HermitianCovariance(np.diag([1.0, 3.0, 2.0]).astype(complex))
@@ -272,3 +275,62 @@ class TestCorrect:
         for seed in range(5):
             out = correct(random_hermitian(10, 40 + seed), "clip")
             assert out.min_eigenvalue() >= -1e-8 * abs(out.trace())
+
+
+class TestOneBlasThread:
+    def test_finds_the_bundled_openblas_of_scipy_and_of_numpy(self):
+        found = [Path(lib._name) for lib in covariance._bundled_openblas()]
+        site = Path(np.__file__).parent.parent
+        for package in ("scipy", "numpy"):
+            # the Linux and Windows wheel layout
+            for path in site.glob(f"{package}.libs/libscipy_openblas*"):
+                assert path in found
+
+    def test_decompositions_and_clip_product_run_both_libraries_on_one_thread(self, monkeypatch):
+        libs = covariance._bundled_openblas()
+        if not libs:
+            pytest.skip("neither scipy nor numpy bundles an OpenBLAS with a thread-local thread cap")
+
+        def caps() -> list[int]:
+            current = [lib.openblas_set_num_threads_local(1) for lib in libs]
+            for lib, count in zip(libs, current):
+                lib.openblas_set_num_threads_local(count)
+            return current
+
+        seen = []
+
+        class Product(np.ndarray):
+            """Eigenvectors that record the thread caps of the product they enter."""
+
+            def __matmul__(self, other):
+                seen.append(("product", caps()))
+                return np.asarray(self) @ np.asarray(other)
+
+        original = covariance.eigh
+
+        def spy(*args, **kwargs):
+            seen.append(("eigh", caps()))
+            if len(seen) == 5:
+                raise RuntimeError("eigensolver failed")
+            out = original(*args, **kwargs)
+            return out if kwargs.get("eigvals_only") else (out[0], out[1].view(Product))
+
+        monkeypatch.setattr(covariance, "eigh", spy)
+        outer = [lib.openblas_set_num_threads_local(2) for lib in libs]
+        after = []
+        try:
+            correct(random_hermitian(12, 1), "clip")
+            after.append(caps())
+            correct(random_hermitian(12, 2), "shift")
+            after.append(caps())
+            random_hermitian(12, 3).min_eigenvalue()
+            after.append(caps())
+            with pytest.raises(RuntimeError, match="eigensolver failed"):
+                correct(random_hermitian(12, 4), "clip")
+            after.append(caps())
+        finally:
+            for lib, count in zip(libs, outer):
+                lib.openblas_set_num_threads_local(count)
+        one = [1] * len(libs)
+        assert seen == [("eigh", one), ("product", one), ("eigh", one), ("eigh", one), ("eigh", one)]
+        assert after == [[2] * len(libs)] * 4
