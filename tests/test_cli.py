@@ -274,7 +274,8 @@ class TestAnalyze:
     def test_one_eigendecomposition_per_run(self, tmp_path, eig_calls):
         argv = ["analyze", "--input", "whitenoise", "--n", "32", "--outdir", str(tmp_path / "r")]
         assert main(argv) == 0
-        assert eig_calls == ["eigh"]
+        # one decomposition of the 32 x 32 covariance; the fit decomposes only 3 x 3 Hessians
+        assert [call for call in eig_calls if call != ("eigh", (3, 3))] == [("eigh", (32, 32))]
 
     def test_config_file_supplies_defaults_but_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -436,7 +437,8 @@ class TestRiskbench:
     def test_one_eigendecomposition_per_replicate(self, tmp_path, eig_calls):
         out = tmp_path / "b.txt"
         assert main(["riskbench", "whitenoise", "--reps", "3", "--n", "16", "--out", str(out)]) == 0
-        assert eig_calls == ["eigh"] * 3
+        # one decomposition of each 16 x 16 covariance; the fit decomposes only 3 x 3 Hessians
+        assert [call for call in eig_calls if call != ("eigh", (3, 3))] == [("eigh", (16, 16))] * 3
 
     def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "b.txt"
@@ -621,7 +623,7 @@ class TestAmplitudeRange:
     def record(self):
         return gen_aggregation(64, seed=1).samples
 
-    @pytest.mark.parametrize("scale", [1e-75, 1e75])
+    @pytest.mark.parametrize("scale", [1e-78, 1e-75, 1e75])
     def test_scaled_record_is_estimated(self, tmp_path, record, scale):
         sig = tmp_path / "x.sig"
         write_signal(sig, TimeSeries(scale * record))

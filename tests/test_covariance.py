@@ -85,7 +85,7 @@ class TestHermitianCovarianceType:
 class TestOneEigendecomposition:
     def test_assemble_does_not_decompose(self, eig_calls):
         assemble(raw_moments(random_series(16, 40)))
-        assert eig_calls == []
+        assert [name for name, _ in eig_calls] == []
 
     @pytest.mark.parametrize("method", ["shift", "clip"])
     def test_correct_and_both_spectra_take_one_decomposition(self, eig_calls, method):
@@ -93,13 +93,13 @@ class TestOneEigendecomposition:
         out = correct(c, method)
         c.min_eigenvalue()
         out.min_eigenvalue()
-        assert eig_calls == ["eigh"]
+        assert [name for name, _ in eig_calls] == ["eigh"]
 
     def test_risk_report_does_not_decompose(self, eig_calls):
         c = random_hermitian(6, 42)
         truth = TheoreticalCovariance(c.entries @ c.entries)
         risk_report(c, random_hermitian(6, 43), truth)
-        assert eig_calls == []
+        assert [name for name, _ in eig_calls] == []
 
     @pytest.mark.parametrize("seed", range(3))
     def test_lazy_spectrum_matches_eigvalsh(self, seed):

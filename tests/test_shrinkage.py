@@ -454,6 +454,45 @@ class TestFit:
         assert np.mean(steps) <= 8
         assert max(steps) <= 15
 
+
+def sphere_points(m: int) -> np.ndarray:
+    """``m`` nearly evenly spread unit vectors (a Fibonacci lattice)."""
+    k = np.arange(m) + 0.5
+    z = 1.0 - 2.0 * k / m
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * k
+    r = np.sqrt(1.0 - z * z)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+class TestTrustStep:
+    # Random models g . s + sum(lam s^2) / 2 in the Hessian's eigenbasis.  The
+    # hard case, a gradient orthogonal to the lowest eigenvector, is excluded:
+    # |g[0]| is kept at 0.1 or more.
+    @pytest.mark.parametrize("definite", [True, False], ids=["definite", "indefinite"])
+    def test_step_fits_the_radius_and_nears_the_model_minimum(self, definite):
+        rng = np.random.default_rng(14 if definite else 15)
+        sphere = sphere_points(20000)
+        for _ in range(200):
+            signs = np.ones(3) if definite else np.array([-1.0, *rng.choice([-1.0, 1.0], 2)])
+            lam = np.sort(signs * np.exp(2.0 * rng.standard_normal(3)))
+            g = rng.standard_normal(3)
+            g[0] = np.copysign(0.1 + abs(g[0]), g[0])
+            radius = np.exp(rng.uniform(-3.0, 3.0))
+            s = shrinkage_module._trust_step(lam, g, radius)
+
+            def model(p):
+                return p @ g + 0.5 * (p * p) @ lam
+
+            best = np.min(model(radius * sphere))
+            newton = -g / lam
+            if definite and np.linalg.norm(newton) <= radius:
+                np.testing.assert_array_equal(s, newton)
+                best = min(best, model(newton))
+            assert np.linalg.norm(s) <= radius * (1.0 + 1e-12)
+            # (1 - 0.1)^2 of the least model value, for a step length within 10% (Moré–Sorensen)
+            assert model(s) <= 0.81 * best
+
+
 class TestOneExpObjective:
     def test_kernel_matches_expit_and_logaddexp(self):
         rng = np.random.default_rng(12)
