@@ -16,8 +16,10 @@ by ``dt``; one inverse DFT per row recovers the moments exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .series import AnalyticSeries, check_dt, check_n
 
@@ -32,7 +34,7 @@ __all__ = [
     "denormalize",
     "smooth_kernel",
     "lag_support_mask",
-    "lag_index",
+    "lag_matrix",
     "check_delta",
 ]
 
@@ -44,21 +46,33 @@ def check_delta(delta: float) -> float:
     return float(delta)
 
 
-def lag_support_mask(n: int) -> np.ndarray:
-    """Boolean mask of shape ``(2n-1, n)``: True where lag row ``tau`` is supported."""
+@cache
+def _off_support(n: int) -> np.ndarray:
+    """Read-only complement of :func:`lag_support_mask`, built once per length."""
     taus = np.arange(-(n - 1), n)[:, None]
     times = np.arange(n)[None, :]
-    return (times >= np.maximum(0, taus)) & (times <= n - 1 + np.minimum(0, taus))
+    off = (times < np.maximum(0, taus)) | (times > n - 1 + np.minimum(0, taus))
+    off.flags.writeable = False
+    return off
 
 
-def lag_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid index of each ``n x n`` matrix cell ``(t, s)``: lag ``t - s`` at time ``t``.
+def lag_support_mask(n: int) -> np.ndarray:
+    """Boolean mask of shape ``(2n-1, n)``: True where lag row ``tau`` is supported."""
+    return ~_off_support(n)
 
-    ``entries[lag_index(n)]`` is the matrix ``B[t, s] = m[t - s, t]``; assigning
-    through it fills exactly the lag support.
+
+def lag_matrix(entries: np.ndarray) -> np.ndarray:
+    """The ``n x n`` view ``B[t, s] = entries[t - s + n - 1, t]`` of a ``(2n-1, n)`` lag grid.
+
+    Cell ``(t, s)`` is lag ``t - s`` at time ``t``; the view covers exactly
+    the lag support, so writing through it fills that support.  It is built
+    from the strides of ``entries`` itself, so any memory layout works.
     """
-    t = np.arange(n)[:, None]
-    return t - t.T + (n - 1), t
+    n = entries.shape[-1]
+    if entries.shape != (2 * n - 1, n):
+        raise ValueError(f"expected shape (2n-1, n), got {entries.shape}")
+    rows, cols = entries.strides
+    return as_strided(entries[n - 1 :], shape=(n, n), strides=(rows + cols, -rows))
 
 
 @dataclass(frozen=True)
@@ -81,11 +95,10 @@ class LagTimeMoments:
         if rows != 2 * cols - 1:
             raise ValueError(f"expected shape (2n-1, n), got {entries.shape}")
         object.__setattr__(self, "n", check_n(cols))
-        if not np.all(np.isfinite(entries.view(float))):
+        if not np.all(np.isfinite(entries)):
             raise ValueError("entries contain NaN or infinity")
         object.__setattr__(self, "dt", check_dt(self.dt))
-        off = ~lag_support_mask(cols)
-        if np.any(entries[off] != 0):
+        if np.any(entries, where=_off_support(cols)):
             raise ValueError("entries must vanish outside the lag support")
         object.__setattr__(self, "entries", entries)
 
@@ -169,7 +182,7 @@ def raw_moments(z: AnalyticSeries) -> LagTimeMoments:
     entries = np.zeros((2 * z.n - 1, z.n), dtype=complex)
     # an overflowing product is reported by LagTimeMoments as non-finite entries
     with np.errstate(over="ignore", invalid="ignore"):
-        entries[lag_index(z.n)] = np.outer(z.samples, z.samples.conj())
+        lag_matrix(entries)[...] = np.outer(z.samples, z.samples.conj())
     return LagTimeMoments(entries, dt=z.dt)
 
 
@@ -180,10 +193,12 @@ def emaf(m: LagTimeMoments) -> AmbiguityGrid:
     the doubled grid ``nu_k = k / (2 n dt)`` by zero-padding rows to ``2n``.
     """
     n = m.n
-    padded = np.zeros((2 * n - 1, 2 * n), dtype=complex)
-    padded[:, :n] = m.entries
-    spectra = np.fft.fft(padded, axis=1)
-    return AmbiguityGrid(m.dt * np.fft.fftshift(spectra, axes=1), dt=m.dt)
+    spectra = np.fft.fft(m.entries, n=2 * n, axis=1)
+    # fftshift and the dt scale in one pass: column k + n holds bin k mod 2n
+    shifted = np.empty_like(spectra)
+    np.multiply(m.dt, spectra[:, n:], out=shifted[:, :n])
+    np.multiply(m.dt, spectra[:, :n], out=shifted[:, n:])
+    return AmbiguityGrid(shifted, dt=m.dt)
 
 
 def normalization(n: int, dt: float = 1.0, delta: float = 0.5) -> NormalizationField:

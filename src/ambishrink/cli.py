@@ -130,13 +130,15 @@ def _analytic_truth(real_cov: np.ndarray) -> np.ndarray:
 
     The pipeline estimates moments of ``Z = analytic(demean(X))``, so risk
     must be judged against ``P D C D P*`` where ``D`` removes the mean and
-    ``P`` is the analytic-signal operator.
+    ``P`` is the analytic-signal operator.  ``D C D`` subtracts the column
+    and then the row means of ``C``; ``P`` is applied down the columns and
+    ``P*`` along the rows as ``conj(P conj(.))``, each by one FFT pair.
     """
-    n = real_cov.shape[0]
-    centering = np.eye(n) - np.ones((n, n)) / n
-    weights = analytic_spectrum_weights(n)
-    op = np.fft.ifft(weights[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
-    t = op @ centering @ real_cov @ centering @ op.conj().T
+    weights = analytic_spectrum_weights(real_cov.shape[0])
+    centred = real_cov - real_cov.mean(axis=0)
+    centred -= centred.mean(axis=1, keepdims=True)
+    t = np.fft.ifft(weights[:, None] * np.fft.fft(centred, axis=0), axis=0)
+    t = np.fft.ifft(weights * np.fft.fft(t.conj(), axis=1), axis=1).conj()
     return (t + t.conj().T) / 2.0
 
 

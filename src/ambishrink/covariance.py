@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 from scipy.linalg import eigh
 
-from .ambiguity import AmbiguityGrid, LagTimeMoments, lag_index, lag_support_mask
+from .ambiguity import AmbiguityGrid, LagTimeMoments, _off_support, lag_matrix
 
 __all__ = ["CORRECTIONS", "HermitianCovariance", "invert_af", "assemble", "correct"]
 
@@ -107,7 +107,7 @@ def invert_af(a: AmbiguityGrid) -> LagTimeMoments:
     """Inverse ambiguity transform: one inverse DFT per lag row.
 
     ``m[tau, t] = 1/(2 n dt) * sum_k a[tau, nu_k] exp(2i pi nu_k t dt)`` for
-    ``t`` on the lag support; entries off the support are zeroed so the
+    ``t`` on the lag support; entries off the support hold ``+0.0`` so the
     result is a valid lag-time moment grid.  Only the rows holding a nonzero
     coefficient are transformed; the others invert to exact zeros.
     Normalized grids must be denormalized first.
@@ -117,15 +117,16 @@ def invert_af(a: AmbiguityGrid) -> LagTimeMoments:
     n = a.n
     live = np.flatnonzero(np.any(a.entries != 0, axis=1))
     spectra = np.fft.ifftshift(a.entries[live], axes=1)
-    rows = np.fft.ifft(spectra, axis=1) / a.dt
+    rows = np.fft.ifft(spectra, axis=1)[:, :n] / a.dt
+    rows[_off_support(n)[live]] = 0.0
     entries = np.zeros((2 * n - 1, n), dtype=complex)
-    entries[live] = rows[:, :n] * lag_support_mask(n)[live]
+    entries[live] = rows
     return LagTimeMoments(entries, dt=a.dt)
 
 
 def assemble(m: LagTimeMoments) -> HermitianCovariance:
     """Arrange moments as ``B[t, t - tau] = m[tau, t]`` and keep the Hermitian part."""
-    b = m.entries[lag_index(m.n)]
+    b = lag_matrix(m.entries)
     return HermitianCovariance(0.5 * (b + b.conj().T))
 
 

@@ -252,10 +252,9 @@ def theoretical_covariance(
         ts = np.arange(n)
         h = np.asarray(p.filt(ks[:, None], ts[None, :]), dtype=float)
         entries = np.zeros((n, n))
-        for d in range(-2 * m, 2 * m + 1):
+        # lags beyond n - 1 pair no samples (and d <= -n would wrap the slice below)
+        for d in range(max(-2 * m, 1 - n), min(2 * m, n - 1) + 1):
             s = ts[max(0, d) : n + min(0, d)]
-            if s.size == 0:
-                continue
             k_lo, k_hi = max(-m, d - m), min(m, d + m)
             kv = np.arange(k_lo, k_hi + 1)
             # sum over k of h(k, s) h(k-d, s-d), aligned on valid filter taps

@@ -13,7 +13,9 @@ that is exactly zero for coefficients indistinguishable from background.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 from scipy.special import expit, logit, ndtr, ndtri
@@ -159,6 +161,23 @@ def _expit_softplus(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _MIRROR_RTOL = 1e-10
 
 
+@cache
+def _block_rows(n: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weight and cell count of each row :func:`_fit_cells` returns, on ``half`` or all rows.
+
+    Only these ``O(n)`` arrays are cached: a cached weight per cell raised
+    the peak RSS of an n=512 estimate by 5 MB.
+    """
+    h = n // 2
+    taus = np.arange(0 if half else -h, h + 1)
+    weights = (n - np.abs(taus)) / (2.0 * n)
+    if half:
+        weights = 2.0 * weights
+    counts = np.where(taus == 0, h if half else 2 * h, 2 * h + 1)
+    weights.flags.writeable = counts.flags.writeable = False
+    return weights, counts
+
+
 def _fit_cells(a: AmbiguityGrid) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes and weights of the cells entering the mixture fit.
 
@@ -186,12 +205,10 @@ def _fit_cells(a: AmbiguityGrid) -> tuple[np.ndarray, np.ndarray]:
     n, h = a.n, a.n // 2
     block = np.abs(a.entries[n - 1 - h : n + h, n - h : n + h + 1]).ravel()
     origin = block.size // 2
-    taus = np.arange(-h, h + 1)
-    weights = np.repeat((n - np.abs(taus)) / (2.0 * n), 2 * h + 1)
     after = block[origin + 1 :]
     if np.allclose(after, block[:origin][::-1], rtol=_MIRROR_RTOL, atol=0.0):
-        return after, 2.0 * weights[origin + 1 :]
-    return np.delete(block, origin), np.delete(weights, origin)
+        return after, np.repeat(*_block_rows(n, True))
+    return np.delete(block, origin), np.repeat(*_block_rows(n, False))
 
 
 # Trust-region steps the search may take: 4-13 on records of 64 samples or more, and up to
@@ -224,27 +241,32 @@ def _mixture_objective(y: np.ndarray, w: np.ndarray):
     and so are their partial derivatives in ``x``; so the weighted sums of
     ``r = expit(d)`` times ``{1, y}`` and of ``r (1 - r)`` times ``{1, y,
     y^2}`` give the exact gradient and Hessian.  One ``exp`` per cell (see
-    :func:`_expit_softplus`).
+    :func:`_expit_softplus`), and one reduction: the six weighted products
+    are written into one buffer and summed row by row, which gives each sum
+    bit for bit as ``np.sum`` of that product alone.
     """
     w_sum = float(np.sum(w))
-    wy = w * y
-    wyy = wy * y
-    wy_sum = float(np.sum(wy))
+    weighted = np.stack([w, w * y, w * y * y])  # w, w y, w y^2
+    wy_sum = float(np.sum(weighted[1]))
+    products = np.empty((6, y.size))
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        vbar = np.exp(np.clip(x[0], -700.0, 700.0))
-        sigma2 = np.exp(np.clip(x[2], -700.0, 700.0))
+        x0, x1, x2 = x.tolist()
+        vbar = np.exp(min(max(x0, -700.0), 700.0))
+        sigma2 = np.exp(min(max(x2, -700.0), 700.0))
         wide = vbar + sigma2
-        r, softplus = _expit_softplus(_log_odds(x[1], vbar, sigma2, y))
-        rv = r * (1.0 - r)
-        # np.sum of products, not BLAS dots: threaded ddot is slower here
-        r0, r1 = float(np.sum(w * r)), float(np.sum(wy * r))
-        v0, v1, v2 = float(np.sum(w * rv)), float(np.sum(wy * rv)), float(np.sum(wyy * rv))
+        r, softplus = _expit_softplus(_log_odds(x1, vbar, sigma2, y))
+        # rows w r, w y r, w rv, w y rv, w y^2 rv (rv = r (1 - r)) and w softplus,
+        # summed by np.sum, not BLAS dots: threaded ddot is slower here
+        np.multiply(weighted[:2], r, out=products[:2])
+        np.multiply(weighted, r * (1.0 - r), out=products[2:5])
+        np.multiply(w, softplus, out=products[5])
+        r0, r1, v0, v1, v2, softplus_sum = products.sum(axis=1).tolist()
         # log density = log(1 - rho) - log vbar - y / vbar + softplus(d)
-        value = w_sum * (np.logaddexp(0.0, x[1]) + np.log(vbar)) + wy_sum / vbar
-        value -= float(np.sum(w * softplus))
+        value = w_sum * (np.logaddexp(0.0, x1) + np.log(vbar)) + wy_sum / vbar
+        value -= softplus_sum
         # d's first partial derivatives are alpha_i + beta_i y
-        share, curl, rho = sigma2 / wide, sigma2 * vbar / wide**2, expit(x[1])
+        share, curl, rho = sigma2 / wide, sigma2 * vbar / wide**2, expit(x1)
         alpha, beta = (share, 1.0, -share), (-share * (1.0 / vbar + 1.0 / wide), 0.0, share / wide)
         grad = np.array([
             w_sum - wy_sum / vbar - share * (r0 - r1 * (1.0 / vbar + 1.0 / wide)),
@@ -260,7 +282,7 @@ def _mixture_objective(y: np.ndarray, w: np.ndarray):
         aa = wy_sum / vbar + curl * r0 - share * (1.0 / vbar + 1.0 / wide + 2.0 * vbar / wide**2) * r1
         ac = -curl * r0 + 2.0 * curl / wide * r1
         cc = curl * r0 - share * (vbar - sigma2) / wide**2 * r1
-        hess = np.array([[aa, 0.0, ac], [0.0, w_sum * rho * expit(-x[1]), 0.0], [ac, 0.0, cc]])
+        hess = np.array([[aa, 0.0, ac], [0.0, w_sum * rho * expit(-x1), 0.0], [ac, 0.0, cc]])
         return float(value), grad, hess - np.array(outer)
 
     return objective
@@ -275,14 +297,18 @@ def _trust_step(lam: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
     ``1/|s| - 1/radius`` (Moré–Sorensen): Newton steps, bisecting the bracket
     ``[max(0, -lam[0]), that + |g| / radius]`` when they leave it.
     """
-    if lam[0] > 0 and np.linalg.norm(g / lam) <= radius:
-        return -g / lam
+    # math.sqrt(v @ v) is np.linalg.norm(v) to the bit, without its overhead; a sum of
+    # squares on Python floats rounds differently and changed a fit's step count
+    if lam[0] > 0:
+        newton = -g / lam
+        if math.sqrt(newton @ newton) <= radius:
+            return newton
     lo = max(0.0, -lam[0])
-    hi = lo + np.linalg.norm(g) / radius
+    hi = lo + math.sqrt(g @ g) / radius
     mu = lo if lam[0] > 0 else hi  # lam + lo has a zero unless lam[0] > 0
     while True:
         s = -g / (lam + mu)
-        length = np.linalg.norm(s)
+        length = math.sqrt(s @ s)
         if abs(length - radius) <= 0.1 * radius:
             break
         lo, hi = (lo, mu) if length < radius else (mu, hi)
@@ -327,7 +353,7 @@ def _newton(objective, x: np.ndarray, w_sum: float) -> tuple[np.ndarray, float, 
         p = vecs @ s
         trial = objective(x + p)
         ratio = (value - trial[0]) / predicted if np.isfinite(trial[0]) else -np.inf
-        length = float(np.linalg.norm(s))
+        length = math.sqrt(s @ s)
         if ratio < 0.25:
             radius = 0.25 * length
         elif ratio > 0.75:

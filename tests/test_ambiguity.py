@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import ambishrink.ambiguity as ambiguity
 from ambishrink.ambiguity import (
     AmbiguityGrid,
     LagTimeMoments,
@@ -57,6 +58,22 @@ class TestLagTimeMomentsType:
             for t in range(n):
                 expected = max(0, tau) <= t <= n - 1 + min(0, tau)
                 assert mask[tau + n - 1, t] == expected
+
+    def test_cached_mask_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            ambiguity._off_support(6)[0, 0] = True
+
+    def test_mutating_a_returned_mask_changes_no_later_result(self):
+        n = 6
+        expected = lag_support_mask(n)
+        lag_support_mask(n)[...] = True
+        np.testing.assert_array_equal(lag_support_mask(n), expected)
+        entries = np.zeros((2 * n - 1, n), dtype=complex)
+        entries[0, 1] = 1.0  # lag -(n-1) lives at t = 0 alone
+        with pytest.raises(ValueError, match="support"):
+            LagTimeMoments(entries, dt=1.0)
+        m = invert_af(pipeline_grid(n, seed=3))
+        assert not np.any(m.entries[~expected])
 
 
 class TestRawMoments:

@@ -14,7 +14,7 @@ from scipy.special import ndtri
 import ambishrink.cli as cli
 from ambishrink.cli import PipelineConfig, main, run_analyze
 from ambishrink.procgen import gen_aggregation
-from ambishrink.series import TimeSeries
+from ambishrink.series import TimeSeries, analytic_spectrum_weights
 from ambishrink.shrinkage import FitConvergenceError, ShrinkageParams, shrink
 from ambishrink.textio import read_matrix, read_signal, write_matrix, write_signal
 
@@ -402,6 +402,24 @@ class TestRiskbench:
         )
         assert float(pairs["var_eb"]) < float(pairs["var_raw"])
         assert "mean_ratio" in pairs
+
+    def test_short_tvchirp_record_runs(self, tmp_path):
+        # its filter is 17 taps wide: the truth must skip lags beyond n - 1
+        out = tmp_path / "b.txt"
+        assert main(["riskbench", "tvchirp", "--reps", "2", "--n", "8", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1].startswith("mean_ratio=")
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 128])
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_fft_truth_matches_the_dense_operator_form(self, preset, n):
+        real = cli._PRESETS[preset].truth(n, 1.0).entries
+        centering = np.eye(n) - np.ones((n, n)) / n
+        weights = analytic_spectrum_weights(n)
+        op = np.fft.ifft(weights[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+        dense = op @ centering @ real @ centering @ op.conj().T
+        got = cli._analytic_truth(real)
+        assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+        np.testing.assert_array_equal(got, got.conj().T)
 
     def test_zero_reps_exits_2(self, tmp_path, capsys):
         code = main(

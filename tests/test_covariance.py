@@ -10,6 +10,7 @@ from ambishrink.ambiguity import (
     AmbiguityGrid,
     LagTimeMoments,
     emaf,
+    lag_matrix,
     lag_support_mask,
     normalization,
     normalize,
@@ -25,6 +26,28 @@ from ambishrink.shrinkage import shrink
 def random_series(n: int, seed: int, dt: float = 1.0) -> AnalyticSeries:
     rng = np.random.default_rng(seed)
     return AnalyticSeries(rng.standard_normal(n) + 1j * rng.standard_normal(n), dt=dt)
+
+
+def laid_out(grid: np.ndarray, layout: str) -> np.ndarray:
+    """``grid`` C-ordered, Fortran-ordered, or as a strided slice of a larger array."""
+    if layout == "C":
+        return np.ascontiguousarray(grid)
+    if layout == "F":
+        return np.asfortranarray(grid)
+    rows, cols = grid.shape
+    big = np.zeros((2 * rows + 1, 3 * cols), dtype=grid.dtype)
+    big[1::2, 2::3] = grid
+    return big[1::2, 2::3]
+
+
+def index_map_matrix(grid: np.ndarray) -> np.ndarray:
+    """The index-map oracle ``B[t, s] = m[t - s, t]`` of a ``(2n-1, n)`` lag grid, by loops."""
+    n = grid.shape[1]
+    b = np.zeros((n, n), dtype=grid.dtype)
+    for t in range(n):
+        for s in range(n):
+            b[t, s] = grid[t - s + n - 1, t]
+    return b
 
 
 def random_hermitian(n: int, seed: int) -> HermitianCovariance:
@@ -149,10 +172,16 @@ class TestInvertAf:
         assert np.any(np.signbit(entries[dead].view(float)))
         a = AmbiguityGrid(entries, dt=dt)
         full = np.fft.ifft(np.fft.ifftshift(entries, axes=1), axis=1) / dt
-        expected = full[:, :n] * lag_support_mask(n)
+        support = lag_support_mask(n)
+        expected = np.where(support, full[:, :n], 0.0)
         got = invert_af(a).entries
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
         np.testing.assert_array_equal(got[dead].view(np.uint64), 0)
+        np.testing.assert_array_equal(got[~support].view(np.uint64), 0)
+
+    def test_shrunk_moments_hold_positive_zeros_off_support(self):
+        m = shrink(gen_aggregation(128, seed=1)).m_eb
+        assert not np.any(np.signbit(m.entries[~lag_support_mask(m.n)].view(float)))
 
     def test_all_zero_grid_inverts_to_positive_zeros(self):
         a = AmbiguityGrid(np.full((15, 16), complex(-0.0, -0.0)), dt=2.0)
@@ -189,16 +218,40 @@ class TestAssemble:
         c = assemble(LagTimeMoments(entries, dt=1.0))
         np.testing.assert_allclose(c.entries, np.diag(np.arange(1.0, n + 1)))
 
-    def test_matches_indexing_oracle(self):
-        m = raw_moments(random_series(4, 7))
-        c = assemble(m)
-        n = 4
-        b = np.zeros((n, n), dtype=complex)
-        for t in range(n):
-            for s in range(n):
-                b[t, s] = m.at(t - s, t)
-        b = 0.5 * (b + b.conj().T)
-        np.testing.assert_allclose(c.entries, b, atol=1e-12)
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    @pytest.mark.parametrize("n", [2, 3, 8, 9])
+    def test_matches_indexing_oracle(self, n, layout):
+        grid = laid_out(raw_moments(random_series(n, 7)).entries, layout)
+        m = LagTimeMoments(grid, dt=1.0)
+        assert m.entries is grid
+        b = index_map_matrix(grid)
+        expected = 0.5 * (b + b.conj().T)
+        np.testing.assert_array_equal(assemble(m).entries, expected)
+
+
+class TestLagMatrix:
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    @pytest.mark.parametrize("n", [2, 3, 8, 9])
+    def test_writing_through_the_view_fills_the_index_map(self, n, layout):
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        grid = laid_out(np.zeros((2 * n - 1, n), dtype=complex), layout)
+        lag_matrix(grid)[...] = b
+        np.testing.assert_array_equal(index_map_matrix(grid), b)
+        assert not np.any(grid[~lag_support_mask(n)])
+
+    @pytest.mark.parametrize("shape", [(4, 3), (5, 2), (5,), (2, 5, 3)])
+    def test_rejects_a_grid_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"\(2n-1, n\)"):
+            lag_matrix(np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9])
+    def test_raw_moments_match_the_index_map(self, n):
+        z = random_series(n, 11)
+        m = raw_moments(z)
+        b = np.outer(z.samples, z.samples.conj())  # b[t, s] = z[t] conj(z[s]), lag t - s
+        np.testing.assert_array_equal(index_map_matrix(m.entries), b)
+        assert not np.any(m.entries[~lag_support_mask(n)])
 
 
 class TestCorrect:

@@ -201,6 +201,12 @@ class TestTheoreticalCovariance:
         assert np.mean(np.abs(z) < 3) > 0.99
         assert np.max(np.abs(z)) < 6.0
 
+    @pytest.mark.parametrize("n", [8, 9, 15, 16])
+    def test_short_chirp_truth_is_the_leading_block(self, n):
+        p = chirp_filter_process(seed=0)
+        long = theoretical_covariance(p, 40).entries
+        np.testing.assert_allclose(theoretical_covariance(p, n).entries, long[:n, :n], rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize(
         "proc",
         [

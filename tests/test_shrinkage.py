@@ -328,6 +328,9 @@ class TestFit:
         q, w = shrinkage_module._fit_cells(a)
         np.testing.assert_array_equal(q, np.abs(a.entries)[mask])
         np.testing.assert_array_equal(w, weights[mask])
+        for cached in shrinkage_module._block_rows(n, True) + shrinkage_module._block_rows(n, False):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0
 
     @pytest.mark.parametrize(
         "x",
@@ -537,6 +540,25 @@ class TestOneExpObjective:
             expected_value, expected_grad = objective_oracle(a, x)
             assert value == pytest.approx(expected_value, rel=1e-13)
             np.testing.assert_allclose(grad, expected_grad, rtol=1e-13, atol=0)
+
+
+class TestOneReduction:
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 127, 128, 129, 2112, 131584])
+    def test_buffer_row_sums_equal_separate_sums_bitwise(self, size):
+        # the objective's layout: products of (w, w y, w y^2) with per-cell factors, summed
+        # over one (6, N) buffer; N spans the edges of numpy's pairwise-summation blocks
+        rng = np.random.default_rng(size)
+        w, y = rng.uniform(0.1, 2.0, size), rng.exponential(1.0, size)
+        weighted = np.stack([w, w * y, w * y * y])
+        r, softplus = rng.uniform(0.0, 1.0, size), rng.exponential(1.0, size)
+        products = np.empty((6, size))
+        np.multiply(weighted[:2], r, out=products[:2])
+        np.multiply(weighted, r * (1.0 - r), out=products[2:5])
+        np.multiply(w, softplus, out=products[5])
+        sums = products.sum(axis=1).tolist()
+        pairs = [(0, r), (1, r), (0, r * (1.0 - r)), (1, r * (1.0 - r)), (2, r * (1.0 - r))]
+        separate = [float(np.sum(weighted[i] * f)) for i, f in pairs] + [float(np.sum(w * softplus))]
+        assert [v.hex() for v in sums] == [v.hex() for v in separate]
 
 
 def full_block_cells(a: AmbiguityGrid) -> tuple[np.ndarray, np.ndarray]:

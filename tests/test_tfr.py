@@ -131,12 +131,13 @@ class TestBilinear:
         np.testing.assert_allclose(surface.values, expected, atol=1e-10)
 
     def test_rihaczek_skips_interpolation_bitwise(self):
-        # shrunk moments hold -0.0 off the lag support, which the blend below
-        # may turn into +0.0; the surface must not depend on it
-        m = shrink(gen_aggregation(48, seed=2)).m_eb
-        n = m.n
-        off = m.entries[~lag_support_mask(n)].view(float)
-        assert np.any(np.signbit(off))
+        # -0.0 off the lag support, which the blend below would turn into
+        # +0.0, shows whether the surface blends at all
+        shrunk = shrink(gen_aggregation(48, seed=2)).m_eb
+        n = shrunk.n
+        entries = shrunk.entries.copy()
+        entries[~lag_support_mask(n)] = complex(-0.0, -0.0)
+        m = LagTimeMoments(entries, dt=shrunk.dt)
         # the blend at base time t: frac = 0, left = m[tau, t], right = m[tau, t + 1]
         right = np.zeros_like(m.entries)
         right[:, :-1] = m.entries[:, 1:]
