@@ -138,7 +138,7 @@ class AmbiguityGrid:
         if cols % 2 != 0 or rows != cols - 1:
             raise ValueError(f"expected shape (2n-1, 2n), got {entries.shape}")
         object.__setattr__(self, "n", check_n(cols // 2))
-        if not np.all(np.isfinite(entries.view(float))):
+        if not np.all(np.isfinite(entries)):
             raise ValueError("entries contain NaN or infinity")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "dt", check_dt(self.dt))
@@ -245,6 +245,6 @@ def smooth_kernel(a: AmbiguityGrid, omega: np.ndarray) -> AmbiguityGrid:
     """Multiply the grid entrywise by a taper ``omega`` with ``|omega| <= 1``."""
     omega = np.asarray(omega)
     a.check_shape("kernel", omega.shape)
-    if np.max(np.abs(omega)) > 1 + 1e-12:
+    if not np.all(np.abs(omega) <= 1 + 1e-12):
         raise ValueError("kernel magnitude exceeds 1")
     return replace(a, entries=a.entries * omega)

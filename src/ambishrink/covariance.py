@@ -68,7 +68,7 @@ def _one_blas_thread() -> Iterator[None]:
 
 @dataclass(frozen=True)
 class HermitianCovariance:
-    """Hermitian covariance estimate.
+    """Finite covariance matrix, Hermitian to ``1e-10`` of its largest entry, in any memory layout.
 
     :meth:`min_eigenvalue` asks the eigensolver for the smallest eigenvalue
     alone, on first use.  :func:`correct` records it on its input and its
@@ -83,7 +83,7 @@ class HermitianCovariance:
         entries = np.asarray(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
-        if not np.all(np.isfinite(entries.view(float))):
+        if not np.all(np.isfinite(entries)):
             raise ValueError("entries contain NaN or infinity")
         if np.max(np.abs(entries - entries.conj().T)) > 1e-10 * np.max(np.abs(entries)):
             raise ValueError("entries are not Hermitian")

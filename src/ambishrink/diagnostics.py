@@ -45,7 +45,7 @@ class QQData:
                 f"quantile sequences must be 1-d and equally long, "
                 f"got {sample.shape} and {theory.shape}"
             )
-        if np.any(np.diff(sample) < 0) or np.any(np.diff(theory) < 0):
+        if not (np.all(np.diff(sample) >= 0) and np.all(np.diff(theory) >= 0)):
             raise ValueError("quantile sequences must be sorted ascending")
         object.__setattr__(self, "sample_quantiles", sample)
         object.__setattr__(self, "theoretical_quantiles", theory)
@@ -65,9 +65,9 @@ class RiskReport:
 
     def __post_init__(self) -> None:
         err = np.asarray(self.normalized_error, dtype=float)
-        if err.ndim != 2 or np.any(err < 0):
+        if err.ndim != 2 or not np.all(err >= 0):
             raise ValueError("normalized_error must be a nonnegative 2-d grid")
-        if np.isnan(self.frobenius_ratio) or self.frobenius_ratio < 0:
+        if not self.frobenius_ratio >= 0:
             raise ValueError(f"frobenius_ratio must be >= 0, got {self.frobenius_ratio!r}")
         object.__setattr__(self, "normalized_error", err)
         object.__setattr__(self, "frobenius_ratio", float(self.frobenius_ratio))

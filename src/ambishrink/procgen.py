@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import toeplitz
 
+from .covariance import HermitianCovariance
 from .series import TimeSeries, analytic_spectrum_weights, check_dt, check_n
 
 __all__ = [
@@ -98,32 +99,19 @@ class AggregationProcess:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True)
-class TheoreticalCovariance:
-    """Dense population covariance matrix, Hermitian with a real diagonal.
+class TheoreticalCovariance(HermitianCovariance):
+    """Dense population covariance matrix: a :class:`HermitianCovariance` with a nonnegative diagonal.
 
     Generator truths are real and symmetric; derived truths (for instance
     the covariance of the analytic signal implied by a real one) are
     genuinely complex, so entries are stored complex either way.
     """
 
-    entries: np.ndarray
-
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"entries must be square, got shape {entries.shape}")
-        scale = max(float(np.max(np.abs(entries))), 1.0)
-        if np.max(np.abs(entries - entries.conj().T)) > 1e-12 * scale:
-            raise ValueError("entries are not Hermitian")
-        diag = np.diagonal(entries)
-        if np.any(diag.real < -1e-12 * scale):
+        super().__post_init__()
+        peak = np.max(np.abs(self.entries))
+        if not np.all(np.diagonal(self.entries).real >= -1e-12 * peak):
             raise ValueError("diagonal entries must be nonnegative")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def locally_stationary_process(length: int = 512, seed: int = 0) -> ModulatedMAProcess:
@@ -316,6 +304,13 @@ def _analytic_noise_covariances(n: int, sigma_x2: float) -> tuple[np.ndarray, np
     return m, r
 
 
+def _check_sigma2(sigma2: float) -> float:
+    """The spectral level of the white-noise oracles as a float: finite and above zero."""
+    if not (np.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
+    return float(sigma2)
+
+
 def whitenoise_af_covariance(
     n: int, dt: float, sigma2: float, tau1: int, j1: int, tau2: int, j2: int
 ) -> complex:
@@ -330,10 +325,8 @@ def whitenoise_af_covariance(
     covariance and its relation term, so Monte Carlo averages match it
     without an asymptotic gap.
     """
-    n, dt = check_n(n), check_dt(dt)
+    n, dt, sigma2 = check_n(n), check_dt(dt), _check_sigma2(sigma2)
     tau1, j1, tau2, j2 = int(tau1), int(j1), int(tau2), int(j2)
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
     for tau in (tau1, tau2):
         if not -n < tau < n:
             raise ValueError(f"lag {tau} out of range for n={n}")
@@ -363,10 +356,8 @@ def whitenoise_af_covariance_limit(
     edge terms stay at the percent level regardless of ``n``, so the exact
     evaluation is preferred whenever the value matters.
     """
-    n, dt = check_n(n), check_dt(dt)
+    n, dt, sigma2 = check_n(n), check_dt(dt), _check_sigma2(sigma2)
     tau1, j1, tau2, j2 = int(tau1), int(j1), int(tau2), int(j2)
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
     if j1 != j2:
         return 0.0 + 0.0j
     span = n - max(abs(tau1), abs(tau2))

@@ -80,7 +80,7 @@ class ThresholdField:
         rows, cols = theta.shape
         if cols != rows + 1 or rows % 2 == 0:
             raise ValueError(f"expected a (2n-1, 2n) field, got {theta.shape}")
-        if np.any(theta < 0) or np.any(theta > 1):
+        if not (np.all(theta >= 0) and np.all(theta <= 1)):
             raise ValueError("theta values must lie in [0, 1]")
         if theta[(rows - 1) // 2, cols // 2] != 1.0:
             raise ValueError("the origin coefficient must keep theta = 1")
@@ -427,7 +427,7 @@ def _posterior_log_odds(params: ShrinkageParams, q: np.ndarray) -> np.ndarray:
 def posterior_rho(params: ShrinkageParams, qhat: float | np.ndarray) -> float | np.ndarray:
     """Posterior probability that a coefficient of magnitude ``qhat`` carries signal."""
     q = np.asarray(qhat, dtype=float)
-    if np.any(q < 0):
+    if not np.all(q >= 0):
         raise ValueError("magnitudes must be nonnegative")
     out = expit(_posterior_log_odds(params, q))
     return float(out) if np.isscalar(qhat) else out

@@ -264,10 +264,11 @@ class TestSmoothKernel:
         out = smooth_kernel(a, np.zeros_like(a.entries, dtype=float))
         np.testing.assert_array_equal(out.entries, np.zeros_like(a.entries))
 
-    def test_rejects_amplifying_kernel(self):
+    @pytest.mark.parametrize("value", [1.5, np.nan])
+    def test_rejects_amplifying_kernel(self, value):
         a = pipeline_grid(8, 6)
         omega = np.ones_like(a.entries, dtype=float)
-        omega[0, 0] = 1.5
+        omega[0, 0] = value
         with pytest.raises(ValueError, match="magnitude"):
             smooth_kernel(a, omega)
 

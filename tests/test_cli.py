@@ -420,6 +420,7 @@ class TestRiskbench:
         got = cli._analytic_truth(real)
         assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
         np.testing.assert_array_equal(got, got.conj().T)
+        assert cli.TheoreticalCovariance(got).n == n
 
     def test_zero_reps_exits_2(self, tmp_path, capsys):
         code = main(

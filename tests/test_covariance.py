@@ -18,7 +18,12 @@ from ambishrink.ambiguity import (
 )
 from ambishrink.covariance import HermitianCovariance, assemble, correct, invert_af
 from ambishrink.diagnostics import risk_report
-from ambishrink.procgen import TheoreticalCovariance, gen_aggregation
+from ambishrink.procgen import (
+    AggregationProcess,
+    TheoreticalCovariance,
+    gen_aggregation,
+    theoretical_covariance,
+)
 from ambishrink.series import AnalyticSeries, TimeSeries
 from ambishrink.shrinkage import shrink
 
@@ -252,6 +257,35 @@ class TestLagMatrix:
         b = np.outer(z.samples, z.samples.conj())  # b[t, s] = z[t] conj(z[s]), lag t - s
         np.testing.assert_array_equal(index_map_matrix(m.entries), b)
         assert not np.any(m.entries[~lag_support_mask(n)])
+
+
+class TestAnyMemoryLayout:
+    """Grids and matrices laid out C-ordered, Fortran-ordered or strided give the same results."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    def test_ambiguity_grid(self, layout):
+        a = emaf(raw_moments(random_series(8, 50, dt=0.5)))
+        other = AmbiguityGrid(laid_out(a.entries, layout), dt=a.dt)
+        np.testing.assert_array_equal(other.entries, a.entries)
+        np.testing.assert_array_equal(invert_af(other).entries, invert_af(a).entries)
+
+    @pytest.mark.parametrize("method", ["shift", "clip"])
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    def test_hermitian_covariance(self, layout, method):
+        c = random_hermitian(12, 51)
+        other = HermitianCovariance(laid_out(c.entries, layout))
+        assert other.min_eigenvalue() == c.min_eigenvalue()
+        np.testing.assert_array_equal(correct(other, method).entries, correct(c, method).entries)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    def test_theoretical_covariance(self, layout):
+        truth = theoretical_covariance(AggregationProcess(), 16)
+        other = TheoreticalCovariance(laid_out(truth.entries, layout))
+        np.testing.assert_array_equal(other.entries, truth.entries)
+        est, raw = random_hermitian(16, 52), random_hermitian(16, 53)
+        got, want = risk_report(est, raw, other), risk_report(est, raw, truth)
+        np.testing.assert_array_equal(got.normalized_error, want.normalized_error)
+        assert got.frobenius_ratio == want.frobenius_ratio
 
 
 class TestCorrect:

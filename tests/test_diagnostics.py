@@ -62,9 +62,10 @@ def aggregation_pipeline(n: int, seed: int):
 
 
 class TestQQDataType:
-    def test_rejects_unsorted_samples(self):
+    @pytest.mark.parametrize("sample", [[1.0, 0.0], [0.0, np.nan, -1.0]])
+    def test_rejects_unsorted_samples(self, sample):
         with pytest.raises(ValueError, match="sorted"):
-            QQData(np.array([1.0, 0.0]), np.array([-1.0, 1.0]))
+            QQData(np.array(sample), np.arange(len(sample), dtype=float))
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="equally long"):
@@ -119,9 +120,8 @@ class TestQQNormalizedAF:
 
 
 class TestRiskReportType:
-    def test_rejects_negative_error_entries(self):
-        err = np.zeros((2, 2))
-        err[0, 1] = -0.5
+    @pytest.mark.parametrize("err", [np.array([[0.0, -0.5], [0.0, 0.0]]), np.full((2, 2), np.nan)])
+    def test_rejects_negative_or_nan_error_entries(self, err):
         with pytest.raises(ValueError, match="nonnegative"):
             RiskReport(err, 1.0)
 

@@ -31,13 +31,23 @@ def flat_modulation(t: np.ndarray) -> np.ndarray:
 
 
 class TestTheoreticalCovarianceType:
-    def test_rejects_non_hermitian(self):
+    @pytest.mark.parametrize("scale", [1e-300, 1e-13, 1.0, 1e20])
+    def test_rejects_non_hermitian_at_any_scale(self, scale):
         with pytest.raises(ValueError, match="Hermitian"):
-            TheoreticalCovariance(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            TheoreticalCovariance(scale * np.array([[0.1, 1.0], [0.0, 0.1]]))
 
     def test_rejects_negative_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             TheoreticalCovariance(np.diag([1.0, -2.0]))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e20])
+    def test_rejects_negative_diagonal_at_any_scale(self, scale):
+        with pytest.raises(ValueError, match="diagonal"):
+            TheoreticalCovariance(scale * np.diag([1.0, -1e-9]))
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            TheoreticalCovariance(np.diag([1.0, np.nan]))
 
     def test_accepts_complex_hermitian(self):
         c = TheoreticalCovariance(np.array([[2.0, 1j], [-1j, 2.0]]))
@@ -264,6 +274,12 @@ class TestStationaryEmafExpectation:
 
 
 class TestWhitenoiseAfCovariance:
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("oracle", [whitenoise_af_covariance, whitenoise_af_covariance_limit])
+    def test_rejects_sigma2_not_finite_and_positive(self, oracle, sigma2):
+        with pytest.raises(ValueError, match="sigma2"):
+            oracle(16, 1.0, sigma2, 0, 0, 0, 0)
+
     def test_distinct_frequency_indices_are_uncorrelated(self):
         assert whitenoise_af_covariance(64, 1.0, 1.0, 0, 1, 2, 3) == 0.0
         assert whitenoise_af_covariance_limit(64, 1.0, 1.0, 0, 1, 2, 3) == 0.0

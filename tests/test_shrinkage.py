@@ -189,9 +189,10 @@ class TestShrinkageParamsType:
 
 
 class TestThresholdFieldType:
-    def test_rejects_theta_outside_unit_interval(self):
+    @pytest.mark.parametrize("value", [1.5, -0.5, np.nan])
+    def test_rejects_theta_outside_unit_interval(self, value):
         theta = np.ones((7, 8))
-        theta[0, 0] = 1.5
+        theta[0, 0] = value
         with pytest.raises(ValueError, match="theta"):
             ThresholdField(theta)
 
@@ -730,9 +731,10 @@ class TestPosteriorRho:
         for q, value in zip(qs, out):
             assert value == pytest.approx(posterior_rho(params, float(q)))
 
-    def test_rejects_negative_magnitude(self):
+    @pytest.mark.parametrize("q", [-1.0, np.nan, [1.0, np.nan]])
+    def test_rejects_negative_or_nan_magnitude(self, q):
         with pytest.raises(ValueError, match="nonnegative"):
-            posterior_rho(ShrinkageParams(1.0, 0.1, 1.0), -1.0)
+            posterior_rho(ShrinkageParams(1.0, 0.1, 1.0), q)
 
 
 class TestThresholdField:
