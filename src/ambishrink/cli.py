@@ -10,13 +10,14 @@ presets: each one's sampler and the exact covariance of its real samples.
 
 Everything written is plain text with 17 significant digits, so artifacts
 round-trip bitwise through the bundled parsers and diff cleanly across
-runs.  The shrunk grids are written as rows of their kept cells and the QQ
-diagnostics as at most ``QQ_POINTS`` order statistics.  Exit codes: 0 on
-success, 2 for usage or input errors and failed writes (among them a
-negative seed, and a riskbench ``--n`` below 8 or ``--dt`` not finite and
-positive, both caught before any fit runs), 3 when the mixture fit fails
-to converge (the files written before the fit is judged, and
-``summary.txt``, still are).
+runs.  The raw EMAF is written as its ``tau >= 0`` rows, the half that its
+point symmetry does not repeat; the shrunk grids as rows of their kept
+cells; and the QQ diagnostics as at most ``QQ_POINTS`` order statistics.
+Exit codes: 0 on success, 2 for usage or input errors and failed writes
+(among them a negative seed, and a riskbench ``--n`` below 8 or ``--dt``
+not finite and positive, both caught before any fit runs), 3 when the
+mixture fit fails to converge (the files written before the fit is judged,
+and ``summary.txt``, still are).
 """
 
 from __future__ import annotations
@@ -150,11 +151,12 @@ def _smoothing_kernel(spec: str, dt: float):
     ``hermite:<length>:<order>`` averages the squared windows of the whole
     bank, a uniform multitaper combination (the choice of combination
     weights is not pinned down anywhere authoritative, so uniform it is).
+    Only ``hermite`` takes an order; any other spec is refused.
     """
     if spec == "delta":
         return None
     parts = spec.split(":")
-    if len(parts) not in (2, 3):
+    if len(parts) not in (2, 3) or (len(parts) == 3 and parts[0] != "hermite"):
         raise ValueError(
             f"kernel spec {spec!r} must be 'delta', '<kind>:<length>' or 'hermite:<length>:<order>'"
         )
@@ -181,10 +183,16 @@ def _smoothing_kernel(spec: str, dt: float):
 def _write_fit(outdir: Path, emaf: np.ndarray, psi: tuple, qq: list[np.ndarray]) -> None:
     """Write the files a run has before its fit is judged: ``emaf.mat``, ``psi.txt``, QQ.
 
-    ``psi`` is ``(vbar, rho, sigma2, nll, iterations)``; ``qq`` holds the
+    ``emaf`` is the full ``(2n-1, 2n)`` grid.  A record's EMAF is
+    point-symmetric, ``a(-tau, k) = exp(i pi k tau / n) conj a(tau, -k)``, so
+    ``emaf.mat`` holds only its ``n`` rows ``tau >= 0`` (a view, not a copy),
+    then a ``# half shape=<2n-1>x<2n>`` line naming the full grid.  ``psi``
+    is ``(vbar, rho, sigma2, nll, iterations)``; ``qq`` holds the
     ``(theoretical, sample)`` quantile columns of the real and imaginary parts.
     """
-    write_matrix(outdir / "emaf.mat", emaf)
+    rows, cols = emaf.shape
+    half = [f"# half shape={rows}x{cols}"]
+    write_matrix(outdir / "emaf.mat", emaf[cols // 2 - 1 :], trailing=half)
     with open(outdir / "psi.txt", "w") as fh:
         fh.write(format_psi_record(*psi) + "\n")
     for name, tag, table in zip(("qq_re.txt", "qq_im.txt"), ("real", "imaginary"), qq):

@@ -5,9 +5,11 @@ comma-separated line per row, then optional trailing comment lines that are
 preserved verbatim.  Every value is written as ``%.17g`` (a complex value as
 ``%.17g%+.17gj``), so a parse/re-serialize cycle is byte-identical and values
 round-trip exactly; rows are formatted and streamed to the file one at a time.
-A matrix may have zero rows.  The format stores tables as well as grids:
-``analyze`` writes its shrunk grids as ``(tau, k, value)`` rows of the kept
-cells followed by a ``# dense shape=<rows>x<cols>`` line (see the README).
+A matrix may have zero rows.  The format stores tables and partial grids
+as well as grids: ``analyze`` writes its shrunk grids as ``(tau, k, value)``
+rows of the kept cells followed by a ``# dense shape=<rows>x<cols>`` line,
+and the raw EMAF as its ``tau >= 0`` rows followed by a
+``# half shape=<rows>x<cols>`` line (see the README for both rebuilds).
 """
 
 from __future__ import annotations

@@ -655,3 +655,100 @@ class TestAmplitudeRange:
             warnings.simplefilter("error")
             assert main(["analyze", "--input", str(sig), "--outdir", str(tmp_path / "r")]) == 2
         assert_one_error_line(capsys, "overflow")
+
+
+def dense_from_half(path) -> np.ndarray:
+    """Rebuild the full EMAF from its ``tau >= 0`` rows by the mirror rule."""
+    half, trailing = read_matrix(path)
+    n = half.shape[0]
+    assert trailing == [f"# half shape={2 * n - 1}x{2 * n}"]
+    k, taus = np.arange(-n, n), np.arange(1, n)
+    phase = np.exp(1j * np.pi * ((taus[:, None] * k) % (2 * n)) / n)
+    grid = np.empty((2 * n - 1, 2 * n), dtype=complex)
+    grid[n - 1 :] = half
+    grid[n - 2 :: -1] = phase * half[1:, (n - k) % (2 * n)].conj()
+    return grid
+
+
+class TestHalfEmaf:
+    @pytest.fixture(
+        scope="class",
+        params=[
+            ("aggregation512", 2, 1.0),
+            ("aggregation512", 16, 1.0),
+            ("aggregation512", 64, 1.0),
+            ("tvchirp", 64, 0.5),
+        ],
+        ids=["agg-n2", "agg-n16", "agg-n64", "tvchirp-dt0.5"],
+    )
+    def run(self, request, tmp_path_factory):
+        preset, n, dt = request.param
+        outdir = tmp_path_factory.mktemp("half") / "run"
+        argv = ["analyze", "--input", preset, "--n", str(n), "--dt", str(dt), "--seed", "1"]
+        assert main(argv + ["--outdir", str(outdir)]) == 0
+        x = cli._PRESETS[preset].sample(n, 1, dt)
+        return outdir / "emaf.mat", shrink(x).a_raw.entries
+
+    def test_rows_are_the_nonnegative_lags_bitwise(self, run):
+        path, a_raw = run
+        half, _ = read_matrix(path)
+        n = a_raw.shape[1] // 2
+        assert half.shape == (n, 2 * n)
+        np.testing.assert_array_equal(half.view(np.uint64), a_raw[n - 1 :].view(np.uint64))
+
+    def test_mirror_rule_rebuilds_the_grid(self, run):
+        path, a_raw = run
+        error = np.max(np.abs(dense_from_half(path) - a_raw))
+        assert error <= 1e-15 * np.max(np.abs(a_raw))
+
+    def test_every_exit_path_writes_the_same_layout(self, tmp_path, monkeypatch):
+        zero = tmp_path / "zero.sig"
+        write_signal(zero, TimeSeries(np.zeros(32)))
+        noise = ["whitenoise", "--n", "32"]
+        assert main(["analyze", "--input", str(zero), "--outdir", str(tmp_path / "z")]) == 0
+        assert main(["analyze", "--input", *noise, "--outdir", str(tmp_path / "w")]) == 0
+        monkeypatch.setattr("ambishrink.shrinkage._MAX_ITERATIONS", 1)
+        assert main(["analyze", "--input", *noise, "--outdir", str(tmp_path / "u")]) == 3
+        for name in ("z", "w", "u"):
+            data, trailing = read_matrix(tmp_path / name / "emaf.mat")
+            assert data.shape == (32, 64)
+            assert trailing == ["# half shape=63x64"]
+
+
+class TestReadmeSnippets:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_rebuild_snippets_match_shrink(self, tmp_path, monkeypatch):
+        blocks = self.README.read_text().split("```python\n")[1:]
+        snippets = [block.split("```")[0] for block in blocks if 'read_matrix("run/' in block]
+        argv = ["analyze", "--input", "aggregation512", "--n", "64"]
+        assert main(argv + ["--outdir", str(tmp_path / "run")]) == 0
+        est = shrink(gen_aggregation(64, seed=0))
+        monkeypatch.chdir(tmp_path)
+        grids = {}
+        for code in snippets:
+            name = code.split('read_matrix("run/')[1].split('"')[0]
+            scope: dict = {}
+            exec(code, scope)
+            grids[name] = scope["grid"]
+        assert set(grids) == {"af_eb.mat", "emaf.mat"}
+        af_eb = est.af_eb.entries
+        assert np.count_nonzero(af_eb) > 0
+        np.testing.assert_array_equal(grids["af_eb.mat"].view(np.uint64), af_eb.view(np.uint64))
+        a_raw = est.a_raw.entries
+        assert np.max(np.abs(grids["emaf.mat"] - a_raw)) <= 1e-15 * np.max(np.abs(a_raw))
+
+
+class TestKernelOrder:
+    def test_order_on_a_non_hermite_flag_exits_2(self, tmp_path, capsys):
+        argv = ["analyze", "--input", "whitenoise", "--n", "16", "--kernel", "hann:5:2"]
+        assert main(argv + ["--outdir", str(tmp_path / "r")]) == 2
+        assert_one_error_line(capsys, "hann:5:2")
+        assert not (tmp_path / "r").exists()
+
+    def test_order_on_a_non_hermite_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("input=whitenoise\nn=16\nkernel=gaussian:5:1\n")
+        assert main(["analyze", "--config", str(cfg), "--outdir", str(tmp_path / "r")]) == 2
+        assert_one_error_line(capsys, "gaussian:5:1")
+        assert not (tmp_path / "r").exists()
