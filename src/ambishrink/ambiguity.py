@@ -186,19 +186,33 @@ def raw_moments(z: AnalyticSeries) -> LagTimeMoments:
     return LagTimeMoments(entries, dt=z.dt)
 
 
+def _emaf_rows(rows: np.ndarray, dt: float) -> np.ndarray:
+    """The :func:`emaf` coefficients of any stack of lag rows, each transformed on its own."""
+    n = rows.shape[1]
+    spectra = np.fft.fft(rows, n=2 * n, axis=1)
+    # fftshift and the dt scale in one pass: column k + n holds bin k mod 2n
+    shifted = np.empty_like(spectra)
+    np.multiply(dt, spectra[:, n:], out=shifted[:, :n])
+    np.multiply(dt, spectra[:, :n], out=shifted[:, n:])
+    return shifted
+
+
 def emaf(m: LagTimeMoments) -> AmbiguityGrid:
     """Empirical ambiguity function: ``dt``-scaled DFT of each lag row.
 
     ``a[tau, nu_k] = dt * sum_t m[tau, t] exp(-2i pi nu_k t dt)`` evaluated on
     the doubled grid ``nu_k = k / (2 n dt)`` by zero-padding rows to ``2n``.
     """
-    n = m.n
-    spectra = np.fft.fft(m.entries, n=2 * n, axis=1)
-    # fftshift and the dt scale in one pass: column k + n holds bin k mod 2n
-    shifted = np.empty_like(spectra)
-    np.multiply(m.dt, spectra[:, n:], out=shifted[:, :n])
-    np.multiply(m.dt, spectra[:, :n], out=shifted[:, n:])
-    return AmbiguityGrid(shifted, dt=m.dt)
+    return AmbiguityGrid(_emaf_rows(m.entries, m.dt), dt=m.dt)
+
+
+def _kappa(n: int, dt: float, delta: float, taus: np.ndarray) -> np.ndarray:
+    """The :func:`normalization` field on the lag rows ``taus`` alone, for checked arguments."""
+    span = (n - np.abs(taus[:, None])).astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nus = np.abs(np.arange(-n, n))[None, :] / (2 * n * dt)
+        band = np.maximum(1.0 / (2 * dt) - nus, 1.0 / (2 * n * dt))
+        return span ** (4 * delta - 1) * band / dt
 
 
 def normalization(n: int, dt: float = 1.0, delta: float = 0.5) -> NormalizationField:
@@ -214,13 +228,12 @@ def normalization(n: int, dt: float = 1.0, delta: float = 0.5) -> NormalizationF
     :class:`NormalizationField`, without a floating-point warning.
     """
     n, dt, delta = check_n(n), check_dt(dt), check_delta(delta)
-    taus = np.arange(-(n - 1), n)[:, None]
-    span = (n - np.abs(taus)).astype(float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        nus = np.abs(np.arange(-n, n))[None, :] / (2 * n * dt)
-        band = np.maximum(1.0 / (2 * dt) - nus, 1.0 / (2 * n * dt))
-        kappa = span ** (4 * delta - 1) * band / dt
-    return NormalizationField(kappa, delta)
+    return NormalizationField(_kappa(n, dt, delta, np.arange(-(n - 1), n)), delta)
+
+
+def _normalized(entries: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Coefficients divided by ``sqrt(kappa)``, cell by cell, on any rows."""
+    return entries / np.sqrt(kappa)
 
 
 def normalize(a: AmbiguityGrid, f: NormalizationField) -> AmbiguityGrid:
@@ -228,7 +241,7 @@ def normalize(a: AmbiguityGrid, f: NormalizationField) -> AmbiguityGrid:
     if a.normalized:
         raise ValueError("grid is already normalized")
     a.check_shape("field", f.kappa.shape)
-    return replace(a, entries=a.entries / np.sqrt(f.kappa), normalized=True, delta=f.delta)
+    return replace(a, entries=_normalized(a.entries, f.kappa), normalized=True, delta=f.delta)
 
 
 def denormalize(a: AmbiguityGrid, f: NormalizationField) -> AmbiguityGrid:

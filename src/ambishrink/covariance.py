@@ -103,6 +103,22 @@ class HermitianCovariance:
         return self._min_eig
 
 
+def _inverted_rows(
+    entries: np.ndarray, dt: float, off: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero rows of any stack of grid rows, as indices, and their :func:`invert_af` moments.
+
+    ``off`` marks the cells off the lag support of those rows; each row is
+    transformed on its own.
+    """
+    n = entries.shape[1] // 2
+    live = np.flatnonzero(np.any(entries != 0, axis=1))
+    spectra = np.fft.ifftshift(entries[live], axes=1)
+    rows = np.fft.ifft(spectra, axis=1)[:, :n] / dt
+    rows[off[live]] = 0.0
+    return live, rows
+
+
 def invert_af(a: AmbiguityGrid) -> LagTimeMoments:
     """Inverse ambiguity transform: one inverse DFT per lag row.
 
@@ -114,12 +130,8 @@ def invert_af(a: AmbiguityGrid) -> LagTimeMoments:
     """
     if a.normalized:
         raise ValueError("grid is normalized; denormalize before inverting")
-    n = a.n
-    live = np.flatnonzero(np.any(a.entries != 0, axis=1))
-    spectra = np.fft.ifftshift(a.entries[live], axes=1)
-    rows = np.fft.ifft(spectra, axis=1)[:, :n] / a.dt
-    rows[_off_support(n)[live]] = 0.0
-    entries = np.zeros((2 * n - 1, n), dtype=complex)
+    live, rows = _inverted_rows(a.entries, a.dt, _off_support(a.n))
+    entries = np.zeros((2 * a.n - 1, a.n), dtype=complex)
     entries[live] = rows
     return LagTimeMoments(entries, dt=a.dt)
 

@@ -15,13 +15,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.special import expit, logit, ndtr, ndtri
 
-from .ambiguity import AmbiguityGrid, LagTimeMoments, emaf, normalization, normalize, raw_moments
-from .covariance import invert_af
+from .ambiguity import (
+    AmbiguityGrid,
+    LagTimeMoments,
+    NormalizationField,
+    _emaf_rows,
+    _kappa,
+    _normalized,
+    _off_support,
+    check_delta,
+    emaf,
+    normalization,
+    normalize,
+    raw_moments,
+)
+from .covariance import _inverted_rows
 from .series import TimeSeries, analytic_signal, check_dt, demean
 
 __all__ = [
@@ -203,12 +216,18 @@ def _fit_cells(a: AmbiguityGrid) -> tuple[np.ndarray, np.ndarray]:
     i.i.d. magnitudes, gets the whole block.
     """
     n, h = a.n, a.n // 2
-    block = np.abs(a.entries[n - 1 - h : n + h, n - h : n + h + 1]).ravel()
-    origin = block.size // 2
-    after = block[origin + 1 :]
-    if np.allclose(after, block[:origin][::-1], rtol=_MIRROR_RTOL, atol=0.0):
-        return after, np.repeat(*_block_rows(n, True))
-    return np.delete(block, origin), np.repeat(*_block_rows(n, False))
+    after, weights = _half_cells(a.entries[n - 1 :], n)
+    before = np.abs(a.entries[n - 1 - h : n, n - h : n + h + 1]).ravel()[: -(h + 1)]
+    if np.allclose(after, before[::-1], rtol=_MIRROR_RTOL, atol=0.0):
+        return after, weights
+    return np.concatenate([before, after]), np.repeat(*_block_rows(n, False))
+
+
+def _half_cells(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of :func:`_fit_cells` after the origin, from the lag rows ``tau >= 0`` alone."""
+    h = n // 2
+    cells = np.abs(rows[: h + 1, n - h : n + h + 1]).ravel()[h + 1 :]
+    return cells, np.repeat(*_block_rows(n, True))
 
 
 # Trust-region steps the search may take: 4-13 on records of 64 samples or more, and up to
@@ -387,7 +406,11 @@ def fit(a: AmbiguityGrid) -> ShrinkageParams:
     """
     if not a.normalized:
         raise ValueError("fit expects a normalized grid")
-    q, w = _fit_cells(a)
+    return _fit_magnitudes(*_fit_cells(a))
+
+
+def _fit_magnitudes(q: np.ndarray, w: np.ndarray) -> ShrinkageParams:
+    """The :func:`fit` of magnitudes ``q`` with weights ``w``, wherever on a grid they lie."""
     if np.any(q == 0):
         raise ValueError("zero magnitudes make the mixture likelihood singular")
     with np.errstate(over="ignore"):
@@ -447,8 +470,14 @@ def threshold_field(params: ShrinkageParams, a: AmbiguityGrid) -> ThresholdField
     """
     if not a.normalized:
         raise ValueError("threshold_field expects a normalized grid")
+    theta = _theta(params, np.abs(a.entries))
+    theta[a.n - 1, a.n] = 1.0
+    return ThresholdField(theta, dt=a.dt)
+
+
+def _theta(params: ShrinkageParams, q: np.ndarray) -> np.ndarray:
+    """The :func:`threshold_field` rule on the magnitudes ``q`` of any rows, bar the origin."""
     vbar, sigma2 = params.vbar, params.sigma2
-    q = np.abs(a.entries)
     d = _posterior_log_odds(params, q)
     # rho_post > 1/2, which keeping needs, holds only where the log-odds are positive
     rows, cols = np.nonzero(d > 0)
@@ -461,17 +490,21 @@ def threshold_field(params: ShrinkageParams, a: AmbiguityGrid) -> ThresholdField
     qmed = lam * qk + np.sqrt(lam * vbar / 2.0) * ndtri(1.0 - 1.0 / (2.0 * rho_post[keep]))
     theta = np.zeros_like(q)
     theta[rows[keep], cols[keep]] = np.clip(qmed / qk, 0.0, 1.0)
-    theta[a.n - 1, a.n] = 1.0
-    return ThresholdField(theta, dt=a.dt)
+    return theta
 
 
 def apply_threshold(a: AmbiguityGrid, t: ThresholdField) -> AmbiguityGrid:
     """Attenuate grid entries by the threshold factors; dropped cells hold ``+0.0``."""
     a.check_shape("field", t.theta.shape)
-    kept = t.theta > 0
-    entries = np.zeros_like(a.entries)
-    entries[kept] = a.entries[kept] * t.theta[kept]
-    return replace(a, entries=entries)
+    return replace(a, entries=_attenuate(a.entries, t.theta))
+
+
+def _attenuate(entries: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The :func:`apply_threshold` product on any rows: kept cells times theta, else ``+0.0``."""
+    kept = theta > 0
+    out = np.zeros_like(entries)
+    out[kept] = entries[kept] * theta[kept]
+    return out
 
 
 def equivalent_kernel(t: ThresholdField) -> np.ndarray:
@@ -489,20 +522,88 @@ def equivalent_kernel(t: ThresholdField) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Shrunk:
-    """Every stage of one :func:`shrink` run; ``converged`` is False for a best-so-far fit."""
+    """Every stage of one :func:`shrink` run; ``converged`` is False for a best-so-far fit.
+
+    The full grids ``a_raw``, ``a_norm`` and ``af_eb`` are built on first
+    read, from ``m_raw``: ``a_raw`` and ``a_norm`` by :func:`emaf`,
+    :func:`normalization` (with ``delta``) and :func:`normalize`, as the
+    full-grid chain builds them, and ``af_eb`` by attenuating the rows ``tau
+    >= 0`` of ``a_raw`` by ``theta``, its kept cells ``tau < 0`` by the
+    mirror rule ``a(-tau, k) = e^{i pi k tau / n} conj a(tau, -k)``.
+    """
 
     m_raw: LagTimeMoments
-    a_raw: AmbiguityGrid
-    a_norm: AmbiguityGrid
     params: ShrinkageParams
     converged: bool
     theta: ThresholdField
-    af_eb: AmbiguityGrid
     m_eb: LagTimeMoments
+    delta: float
+
+    @cached_property
+    def a_raw(self) -> AmbiguityGrid:
+        return emaf(self.m_raw)
+
+    @cached_property
+    def a_norm(self) -> AmbiguityGrid:
+        return normalize(self.a_raw, normalization(self.m_raw.n, self.m_raw.dt, self.delta))
+
+    @cached_property
+    def af_eb(self) -> AmbiguityGrid:
+        n = self.m_raw.n
+        half = _attenuate(self.a_raw.entries[n - 1 :], self.theta.theta[n - 1 :])
+        entries = np.zeros((2 * n - 1, 2 * n), dtype=complex)
+        entries[n - 1 :] = half
+        rows, cols = np.nonzero(self.theta.theta[: n - 1])
+        taus, k = n - 1 - rows, cols - n
+        phase = np.exp(1j * np.pi * ((taus * k) % (2 * n)) / n)
+        entries[rows, cols] = phase * half[taus, (n - k) % (2 * n)].conj()
+        return AmbiguityGrid(entries, dt=self.m_raw.dt)
+
+
+def _point_mirror(half: np.ndarray) -> np.ndarray:
+    """The ``(2n-1, 2n)`` field whose rows ``tau >= 0`` are ``half``, mirrored through the origin.
+
+    Row ``-tau`` is row ``tau`` with column ``c`` at ``(2n - c) mod 2n``.
+    """
+    n = half.shape[0]
+    full = np.empty((2 * n - 1, 2 * n), dtype=half.dtype)
+    full[n - 1 :] = half
+    full[n - 2 :: -1, 0] = half[1:, 0]
+    full[n - 2 :: -1, 1:] = half[1:, :0:-1]
+    return full
+
+
+def _hermitian_moments(live: np.ndarray, rows: np.ndarray, dt: float) -> LagTimeMoments:
+    """The moments with rows ``tau = live`` from ``rows`` and ``m(-tau, t) = conj m(tau, t + tau)``.
+
+    The rows ``tau < 0`` are read through one strided view of the rows
+    ``tau > 0``, shifted by ``tau``.  Past the support of lag ``-tau`` that
+    view reads the zeros off the support at the start of lag ``tau + 1``, or
+    for ``tau = n - 1`` a spare zero row past the grid (numpy checks that
+    the view stays inside the buffer), so every cell is written.  The
+    imaginary parts are negated as ``0.0 - im``, so that no ``-0.0`` appears.
+    """
+    n = rows.shape[1]
+    buffer = np.zeros((2 * n, n), dtype=complex)
+    buffer[n - 1 + live] = rows
+    size = buffer.itemsize
+    # source[tau - 1, t] is buffer[n - 1 + tau, t + tau]
+    source = np.ndarray((n - 1, n), complex, buffer, (n * n + 1) * size, ((n + 1) * size, size))
+    target = buffer[n - 2 :: -1]
+    np.copyto(target.real, source.real)
+    np.subtract(0.0, source.imag, out=target.imag)
+    return LagTimeMoments(buffer[: 2 * n - 1], dt=dt)
 
 
 def shrink(x: TimeSeries, delta: float = 0.5) -> Shrunk:
     """Demean, analytic signal, lag products, EMAF, normalize, fit, threshold, invert.
+
+    A record's lag products are Hermitian, so every stage after them runs on
+    the lag rows ``tau >= 0`` alone, through the cores of the stage
+    functions, which treat each row on its own: these rows, and the cells
+    :func:`fit` takes, are the full-grid chain's.  The rows ``tau < 0`` of
+    theta and of the shrunk moments are exact mirrors (:func:`_point_mirror`,
+    :func:`_hermitian_moments`).
 
     A fit that exhausts its budget does not raise: its best parameters are
     used and ``converged`` is False.  A record whose samples are all equal
@@ -511,13 +612,23 @@ def shrink(x: TimeSeries, delta: float = 0.5) -> Shrunk:
     """
     if np.ptp(x.samples) == 0:
         raise ValueError("a constant record has zero magnitudes: nothing to fit")
+    delta = check_delta(delta)
     m_raw = raw_moments(analytic_signal(demean(x)))
-    a_raw = emaf(m_raw)
-    a_norm = normalize(a_raw, normalization(x.n, x.dt, delta))
+    n, dt = m_raw.n, m_raw.dt
+    a_half = _emaf_rows(m_raw.entries[n - 1 :], dt)
+    kappa = NormalizationField(_kappa(n, dt, delta, np.arange(n)), delta).kappa
+    a_norm = _normalized(a_half, kappa)
+    del kappa
+    if not np.all(np.isfinite(a_norm)):  # as AmbiguityGrid checks emaf's and normalize's grids
+        raise ValueError("entries contain NaN or infinity")
     try:
-        params, converged = fit(a_norm), True
+        params, converged = _fit_magnitudes(*_half_cells(a_norm, n)), True
     except FitConvergenceError as err:
         params, converged = err.best, False
-    theta = threshold_field(params, a_norm)
-    af_eb = apply_threshold(a_raw, theta)
-    return Shrunk(m_raw, a_raw, a_norm, params, converged, theta, af_eb, invert_af(af_eb))
+    theta = _theta(params, np.abs(a_norm))
+    theta[0, n] = 1.0
+    del a_norm
+    live, rows = _inverted_rows(_attenuate(a_half, theta), dt, _off_support(n)[n - 1 :])
+    del a_half
+    theta = ThresholdField(_point_mirror(theta), dt=dt)
+    return Shrunk(m_raw, params, converged, theta, _hermitian_moments(live, rows, dt), delta)

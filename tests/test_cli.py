@@ -210,10 +210,11 @@ class TestAnalyze:
     def test_nonconvergence_exits_3_with_best_so_far(self, tmp_path, capsys, monkeypatch):
         best = ShrinkageParams(1.0, 0.1, 2.0, nll=5.0, iterations=77)
 
-        def no_fit(a):
+        def no_fit(q, w):
             raise FitConvergenceError("search budget exhausted", best)
 
-        monkeypatch.setattr("ambishrink.shrinkage.fit", no_fit)
+        # shrink fits through the core that fit wraps
+        monkeypatch.setattr("ambishrink.shrinkage._fit_magnitudes", no_fit)
         outdir = tmp_path / "run"
         code = run_analyze(PipelineConfig(input="whitenoise", outdir=str(outdir), n=32))
         assert code == 3
@@ -541,10 +542,11 @@ class TestArtifactWriters:
     ):
         best = ShrinkageParams(1.0, 0.1, 2.0, nll=5.0, iterations=77)
 
-        def no_fit(a):
+        def no_fit(q, w):
             raise FitConvergenceError("search budget exhausted", best)
 
-        monkeypatch.setattr("ambishrink.shrinkage.fit", no_fit)
+        # shrink fits through the core that fit wraps
+        monkeypatch.setattr("ambishrink.shrinkage._fit_magnitudes", no_fit)
         outdir = tmp_path / "run"
         argv = ["analyze", "--input", "whitenoise", "--n", "32", "--outdir", str(outdir)]
         assert main(argv + self.FLAGS) == 3

@@ -1,5 +1,6 @@
 """Tests for the magnitude mixture fit and posterior-median thresholding."""
 
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from scipy.optimize import brentq, minimize
 from scipy.special import expit, i0e, logit, ndtr, ndtri
 
 import ambishrink.shrinkage as shrinkage_module
+from ambishrink import cli
 from ambishrink.ambiguity import (
     AmbiguityGrid,
     LagTimeMoments,
@@ -695,6 +697,96 @@ class TestShrink:
         assert isinstance(est.m_eb, LagTimeMoments)
         assert est.m_eb.entries.shape == (2 * n - 1, n)
         assert np.all(np.isfinite(est.m_eb.entries))
+
+
+def full_grid_chain(x: TimeSeries) -> tuple[ShrinkageParams, np.ndarray, np.ndarray, np.ndarray]:
+    """The stage functions run by hand on all ``2n - 1`` lag rows: the fit, theta, af_eb and m_eb."""
+    m_raw = raw_moments(analytic_signal(demean(x)))
+    a_raw = emaf(m_raw)
+    a_norm = normalize(a_raw, normalization(x.n, x.dt, 0.5))
+    try:
+        params = fit(a_norm)
+    except FitConvergenceError as err:
+        params = err.best
+    theta = threshold_field(params, a_norm)
+    af_eb = apply_threshold(a_raw, theta)
+    return params, theta.theta, af_eb.entries, invert_af(af_eb).entries
+
+
+class TestHalfGridShrink:
+    """``shrink`` on the rows ``tau >= 0`` against the full-grid chain, on 200 records.
+
+    Five presets, five lengths, ``dt`` 1 and 0.37 and seeds 0-3.
+    """
+
+    @pytest.fixture(
+        scope="class", params=[(p, n) for p in cli.PRESETS for n in (9, 16, 33, 64, 128)], ids=str
+    )
+    def runs(self, request):
+        preset, n = request.param
+        records = [cli._PRESETS[preset].sample(n, seed, dt) for dt in (1.0, 0.37) for seed in range(4)]
+        return n, [(shrink(x), full_grid_chain(x)) for x in records]
+
+    def test_matches_the_full_grid_chain(self, runs):
+        n, pairs = runs
+        for est, (params, theta, _, m_eb) in pairs:
+            assert est.params == params
+            np.testing.assert_array_equal(est.theta.theta > 0, theta > 0)
+            # each row is transformed on its own, so the rows tau >= 0 are the chain's
+            np.testing.assert_array_equal(est.theta.theta[n - 1 :], theta[n - 1 :])
+            np.testing.assert_array_equal(est.m_eb.entries[n - 1 :], m_eb[n - 1 :])
+            assert np.max(np.abs(est.m_eb.entries - m_eb)) <= 1e-12 * np.max(np.abs(m_eb))
+
+    def test_theta_rows_below_zero_mirror_the_rows_above_exactly(self, runs):
+        n, pairs = runs
+        columns = (2 * n - np.arange(2 * n)) % (2 * n)
+        for est, _ in pairs:
+            theta = est.theta.theta
+            mirror = theta[n:, columns]  # rows tau = 1 .. n-1, column c at (2n - c) mod 2n
+            np.testing.assert_array_equal(theta[n - 2 :: -1].view(np.uint64), mirror.view(np.uint64))
+
+    def test_moment_rows_below_zero_are_exact_conjugates(self, runs):
+        n, pairs = runs
+        for est, _ in pairs:
+            m = est.m_eb.entries
+            for tau in range(1, n):
+                np.testing.assert_array_equal(m[n - 1 - tau, : n - tau], m[n - 1 + tau, tau:].conj())
+            assert not np.any(np.signbit(m[m == 0].imag))
+
+    def test_af_eb_is_the_chain_above_and_the_readme_mirror_below(self, runs):
+        n, pairs = runs
+        k, taus = np.arange(-n, n), np.arange(1, n)
+        phase = np.exp(1j * np.pi * ((taus[:, None] * k) % (2 * n)) / n)
+        for est, (_, theta, af_chain, _) in pairs:
+            af = est.af_eb.entries
+            np.testing.assert_array_equal(af[n - 1 :].view(np.uint64), af_chain[n - 1 :].view(np.uint64))
+            kept = theta[n - 2 :: -1] > 0
+            mirror = phase * af[n:, (n - k) % (2 * n)].conj()
+            # the rule on the whole table multiplies by numpy's SIMD loop, which may round differently
+            gap = np.abs(af[n - 2 :: -1][kept] - mirror[kept])
+            assert np.all(gap <= 1e-15 * np.max(np.abs(af)))
+            assert np.all(af[n - 2 :: -1][~kept].view(np.uint64) == 0)
+            assert np.max(np.abs(af - af_chain)) <= 1e-12 * np.max(np.abs(af_chain))
+
+
+class TestShrinkMemory:
+    def test_peak_and_kept_arrays_in_grid_units(self):
+        n = 256
+        unit = (2 * n - 1) * 2 * n * 16  # one complex (2n-1, 2n) grid
+        x = gen_aggregation(n, seed=1)
+        shrink(x)  # builds the per-length caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            est = shrink(x)
+            kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        # the full-grid shrink kept 4.5 units (a_raw, a_norm and af_eb one each; theta, m_raw
+        # and m_eb half each) and peaked at 4.63; now m_raw, theta and m_eb, 1.5
+        assert peak <= 4.5 * unit
+        assert kept <= 2.25 * unit
+        assert est.converged
 
 
 class TestPosteriorRho:
