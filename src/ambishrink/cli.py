@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, NoReturn, get_type_hints
 
 import numpy as np
 
-from .ambiguity import check_delta
+from .ambiguity import check_delta, emaf, normalization, normalize
 from .covariance import CORRECTIONS, assemble, correct
 from .diagnostics import qq_normalized_af, qq_ranks, risk_report, variance_reduction_probe
 from .procgen import (
@@ -46,7 +46,7 @@ from .procgen import (
     theoretical_covariance,
 )
 from .series import TimeSeries, analytic_spectrum_weights, check_dt, check_n
-from .shrinkage import shrink
+from .shrinkage import apply_threshold, shrink
 from .textio import _fmt_real, format_psi_record, read_signal, write_matrix, write_signal
 from .tfr import bilinear, check_alpha, window_bank
 
@@ -292,27 +292,30 @@ def _analyze_into(outdir: Path, cfg: PipelineConfig, x: TimeSeries, kernel) -> i
 
     try:
         est = shrink(x, cfg.delta)
+        a_raw = emaf(est.m_raw)
+        a_norm = normalize(a_raw, normalization(n, x.dt, cfg.delta))
+        p = est.params
+        psi = (p.vbar, p.rho, p.sigma2, p.nll, p.iterations)
+        qq = [
+            np.column_stack([q.theoretical_quantiles, q.sample_quantiles])
+            for q in qq_normalized_af(a_norm, p.vbar)
+        ]
+        del a_norm
+        _write_fit(outdir, a_raw.entries, psi, qq)
+        if not est.converged:
+            _write_summary(outdir, cfg, n, psi, None)
+            print("error: mixture fit did not converge; best-so-far written", file=sys.stderr)
+            return 3
+        af_eb = apply_threshold(a_raw, est.theta).entries
+        del a_raw  # freed before the covariance and the TFR are built
     except ValueError as err:
         return _fail(f"cannot analyze {cfg.input}: {err}")
-    p = est.params
-    psi = (p.vbar, p.rho, p.sigma2, p.nll, p.iterations)
-    qq = [
-        np.column_stack([q.theoretical_quantiles, q.sample_quantiles])
-        for q in qq_normalized_af(est.a_norm, p.vbar)
-    ]
-    _write_fit(outdir, est.a_raw.entries, psi, qq)
-    if not est.converged:
-        _write_summary(outdir, cfg, n, psi, None)
-        print("error: mixture fit did not converge; best-so-far written", file=sys.stderr)
-        return 3
 
     cov_est = assemble(est.m_eb)
     cov = correct(cov_est, cfg.correction)
     tfr = bilinear(est.m_eb, alpha=cfg.alpha, kernel=kernel).values
     theta, mineig = est.theta.theta, cov.min_eigenvalue()
-    _write_estimate(
-        outdir, cfg, theta, est.af_eb.entries, est.m_eb.entries, cov.entries, mineig, tfr
-    )
+    _write_estimate(outdir, cfg, theta, af_eb, est.m_eb.entries, cov.entries, mineig, tfr)
     estimate = (cov_est.min_eigenvalue(), mineig, np.mean(theta > 0))
     _write_summary(outdir, cfg, n, psi, estimate)
     return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 from scipy.special import expit, logit, ndtr, ndtri
@@ -29,9 +29,6 @@ from .ambiguity import (
     _normalized,
     _off_support,
     check_delta,
-    emaf,
-    normalization,
-    normalize,
     raw_moments,
 )
 from .covariance import _inverted_rows
@@ -522,14 +519,9 @@ def equivalent_kernel(t: ThresholdField) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Shrunk:
-    """Every stage of one :func:`shrink` run; ``converged`` is False for a best-so-far fit.
+    """The stages one :func:`shrink` run computes; ``converged`` is False for a best-so-far fit.
 
-    The full grids ``a_raw``, ``a_norm`` and ``af_eb`` are built on first
-    read, from ``m_raw``: ``a_raw`` and ``a_norm`` by :func:`emaf`,
-    :func:`normalization` (with ``delta``) and :func:`normalize`, as the
-    full-grid chain builds them, and ``af_eb`` by attenuating the rows ``tau
-    >= 0`` of ``a_raw`` by ``theta``, its kept cells ``tau < 0`` by the
-    mirror rule ``a(-tau, k) = e^{i pi k tau / n} conj a(tau, -k)``.
+    No grid is kept: ``apply_threshold(emaf(m_raw), theta)`` is the shrunk EMAF.
     """
 
     m_raw: LagTimeMoments
@@ -537,27 +529,6 @@ class Shrunk:
     converged: bool
     theta: ThresholdField
     m_eb: LagTimeMoments
-    delta: float
-
-    @cached_property
-    def a_raw(self) -> AmbiguityGrid:
-        return emaf(self.m_raw)
-
-    @cached_property
-    def a_norm(self) -> AmbiguityGrid:
-        return normalize(self.a_raw, normalization(self.m_raw.n, self.m_raw.dt, self.delta))
-
-    @cached_property
-    def af_eb(self) -> AmbiguityGrid:
-        n = self.m_raw.n
-        half = _attenuate(self.a_raw.entries[n - 1 :], self.theta.theta[n - 1 :])
-        entries = np.zeros((2 * n - 1, 2 * n), dtype=complex)
-        entries[n - 1 :] = half
-        rows, cols = np.nonzero(self.theta.theta[: n - 1])
-        taus, k = n - 1 - rows, cols - n
-        phase = np.exp(1j * np.pi * ((taus * k) % (2 * n)) / n)
-        entries[rows, cols] = phase * half[taus, (n - k) % (2 * n)].conj()
-        return AmbiguityGrid(entries, dt=self.m_raw.dt)
 
 
 def _point_mirror(half: np.ndarray) -> np.ndarray:
@@ -631,4 +602,4 @@ def shrink(x: TimeSeries, delta: float = 0.5) -> Shrunk:
     live, rows = _inverted_rows(_attenuate(a_half, theta), dt, _off_support(n)[n - 1 :])
     del a_half
     theta = ThresholdField(_point_mirror(theta), dt=dt)
-    return Shrunk(m_raw, params, converged, theta, _hermitian_moments(live, rows, dt), delta)
+    return Shrunk(m_raw, params, converged, theta, _hermitian_moments(live, rows, dt))

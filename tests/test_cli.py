@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -12,10 +13,11 @@ import pytest
 from scipy.special import ndtri
 
 import ambishrink.cli as cli
+from ambishrink.ambiguity import emaf, normalization, normalize
 from ambishrink.cli import PipelineConfig, main, run_analyze
 from ambishrink.procgen import gen_aggregation
 from ambishrink.series import TimeSeries, analytic_spectrum_weights
-from ambishrink.shrinkage import FitConvergenceError, ShrinkageParams, shrink
+from ambishrink.shrinkage import FitConvergenceError, ShrinkageParams, apply_threshold, shrink
 from ambishrink.textio import read_matrix, read_signal, write_matrix, write_signal
 
 ARTIFACTS = (
@@ -316,20 +318,25 @@ def dense_from_sparse(path) -> np.ndarray:
 
 
 class TestCompactArtifacts:
-    @pytest.fixture(scope="class")
-    def run(self, tmp_path_factory):
+    @pytest.fixture(scope="class", params=[None, 0.3], ids=["delta-default", "delta0.3"])
+    def run(self, request, tmp_path_factory):
         root = tmp_path_factory.mktemp("compact")
         sig = root / "agg.sig"
         write_signal(sig, gen_aggregation(64, seed=4))
         outdir = root / "run"
-        assert main(["analyze", "--input", str(sig), "--outdir", str(outdir)]) == 0
-        return outdir, shrink(read_signal(sig))
+        flags = [] if request.param is None else ["--delta", str(request.param)]
+        assert main(["analyze", "--input", str(sig), "--outdir", str(outdir), *flags]) == 0
+        x = read_signal(sig)
+        delta = 0.5 if request.param is None else request.param
+        est = shrink(x, delta)
+        a_norm = normalize(emaf(est.m_raw), normalization(x.n, x.dt, delta))
+        return outdir, est, a_norm
 
     @pytest.mark.parametrize("name, part", [("qq_re.txt", "real"), ("qq_im.txt", "imag")])
     def test_qq_rows_are_rows_of_the_full_qq(self, run, name, part):
-        outdir, est = run
-        n = est.a_norm.n
-        coeffs = np.delete(est.a_norm.entries.ravel(), (n - 1) * 2 * n + n)
+        outdir, est, a_norm = run
+        n = a_norm.n
+        coeffs = np.delete(a_norm.entries.ravel(), (n - 1) * 2 * n + n)
         m = coeffs.size
         assert m > 1001
         full = np.column_stack(
@@ -346,16 +353,17 @@ class TestCompactArtifacts:
         np.testing.assert_array_equal(full[ranks].view(np.uint64), data.view(np.uint64))
 
     def test_theta_has_one_row_per_kept_cell(self, run):
-        outdir, est = run
+        outdir, est, _ = run
         table, _ = read_matrix(outdir / "theta.mat")
         assert table.shape == (np.count_nonzero(est.theta.theta > 0), 3)
 
     def test_dense_grids_rebuild_bitwise(self, run):
-        outdir, est = run
+        outdir, est, _ = run
         theta = dense_from_sparse(outdir / "theta.mat")
         np.testing.assert_array_equal(theta.view(np.uint64), est.theta.theta.view(np.uint64))
         af_eb = dense_from_sparse(outdir / "af_eb.mat")
-        np.testing.assert_array_equal(af_eb.view(np.uint64), est.af_eb.entries.view(np.uint64))
+        expected = apply_threshold(emaf(est.m_raw), est.theta).entries
+        np.testing.assert_array_equal(af_eb.view(np.uint64), expected.view(np.uint64))
 
     def test_dropped_cells_are_positive_zeros(self, tmp_path):
         outdir = tmp_path / "agg"
@@ -363,7 +371,8 @@ class TestCompactArtifacts:
         est = shrink(gen_aggregation(64, seed=0))
         af_eb = dense_from_sparse(outdir / "af_eb.mat")
         assert np.count_nonzero(af_eb) < af_eb.size
-        np.testing.assert_array_equal(af_eb.view(np.uint64), est.af_eb.entries.view(np.uint64))
+        expected = apply_threshold(emaf(est.m_raw), est.theta).entries
+        np.testing.assert_array_equal(af_eb.view(np.uint64), expected.view(np.uint64))
 
     def test_zero_signal_layouts_match_a_nonzero_run(self, tmp_path):
         sig = tmp_path / "zero.sig"
@@ -377,6 +386,29 @@ class TestCompactArtifacts:
             assert trailing == ["# dense shape=63x64"]
         for name in ("qq_re.txt", "qq_im.txt"):
             assert {read_matrix(d / name)[0].shape for d in (zero, noise)} == {(1001, 2)}
+
+
+class TestAnalyzeMemory:
+    def test_live_grids_when_the_covariance_is_corrected(self, tmp_path, monkeypatch):
+        n = 256
+        unit = (2 * n - 1) * 2 * n * 16  # one complex (2n-1, 2n) grid
+        live = []
+
+        def traced_correct(cov, correction):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return correct(cov, correction)
+
+        correct = cli.correct
+        monkeypatch.setattr(cli, "correct", traced_correct)
+        argv = ["analyze", "--input", "aggregation512", "--n", str(n)]
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--outdir", str(tmp_path / "r")]) == 0
+        finally:
+            tracemalloc.stop()
+        # af_eb, m_raw, theta, m_eb and the covariance are live here (2.8 units);
+        # a_raw or a_norm kept past emaf.mat and the QQ files adds one unit each
+        assert len(live) == 1 and live[0] <= 3.25 * unit
 
 
 class TestRiskbench:
@@ -689,7 +721,7 @@ class TestHalfEmaf:
         argv = ["analyze", "--input", preset, "--n", str(n), "--dt", str(dt), "--seed", "1"]
         assert main(argv + ["--outdir", str(outdir)]) == 0
         x = cli._PRESETS[preset].sample(n, 1, dt)
-        return outdir / "emaf.mat", shrink(x).a_raw.entries
+        return outdir / "emaf.mat", emaf(shrink(x).m_raw).entries
 
     def test_rows_are_the_nonnegative_lags_bitwise(self, run):
         path, a_raw = run
@@ -734,10 +766,11 @@ class TestReadmeSnippets:
             exec(code, scope)
             grids[name] = scope["grid"]
         assert set(grids) == {"af_eb.mat", "emaf.mat"}
-        af_eb = est.af_eb.entries
+        a_raw = emaf(est.m_raw)
+        af_eb = apply_threshold(a_raw, est.theta).entries
         assert np.count_nonzero(af_eb) > 0
         np.testing.assert_array_equal(grids["af_eb.mat"].view(np.uint64), af_eb.view(np.uint64))
-        a_raw = est.a_raw.entries
+        a_raw = a_raw.entries
         assert np.max(np.abs(grids["emaf.mat"] - a_raw)) <= 1e-15 * np.max(np.abs(a_raw))
 
 
