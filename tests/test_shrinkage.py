@@ -696,8 +696,8 @@ class TestShrink:
         assert np.all(np.isfinite(est.m_eb.entries))
 
 
-def full_grid_chain(x: TimeSeries) -> tuple[ShrinkageParams, np.ndarray, np.ndarray]:
-    """The stage functions run by hand on all ``2n - 1`` lag rows: the fit, theta and m_eb."""
+def full_grid_chain(x: TimeSeries) -> tuple[ShrinkageParams, np.ndarray, np.ndarray, np.ndarray]:
+    """The stage functions run by hand on all ``2n - 1`` lag rows: the fit, theta, af_eb and m_eb."""
     m_raw = raw_moments(analytic_signal(demean(x)))
     a_raw = emaf(m_raw)
     a_norm = normalize(a_raw, normalization(x.n, x.dt, 0.5))
@@ -706,7 +706,8 @@ def full_grid_chain(x: TimeSeries) -> tuple[ShrinkageParams, np.ndarray, np.ndar
     except FitConvergenceError as err:
         params = err.best
     theta = threshold_field(params, a_norm)
-    return params, theta.theta, invert_af(apply_threshold(a_raw, theta)).entries
+    af_eb = apply_threshold(a_raw, theta)
+    return params, theta.theta, af_eb.entries, invert_af(af_eb).entries
 
 
 class TestHalfGridShrink:
@@ -725,7 +726,7 @@ class TestHalfGridShrink:
 
     def test_matches_the_full_grid_chain(self, runs):
         n, pairs = runs
-        for est, (params, theta, m_eb) in pairs:
+        for est, (params, theta, _, m_eb) in pairs:
             assert est.params == params
             np.testing.assert_array_equal(est.theta.theta > 0, theta > 0)
             # each row is transformed on its own, so the rows tau >= 0 are the chain's
@@ -748,6 +749,22 @@ class TestHalfGridShrink:
             for tau in range(1, n):
                 np.testing.assert_array_equal(m[n - 1 - tau, : n - tau], m[n - 1 + tau, tau:].conj())
             assert not np.any(np.signbit(m[m == 0].imag))
+
+    def test_af_eb_is_the_chain_above_and_the_readme_mirror_below(self, runs):
+        n, pairs = runs
+        k, taus = np.arange(-n, n), np.arange(1, n)
+        phase = np.exp(1j * np.pi * ((taus[:, None] * k) % (2 * n)) / n)
+        for est, (_, theta, af_chain, _) in pairs:
+            # the grid analyze writes to af_eb.mat, built from what shrink holds
+            af = apply_threshold(emaf(est.m_raw), est.theta).entries
+            np.testing.assert_array_equal(af[n - 1 :].view(np.uint64), af_chain[n - 1 :].view(np.uint64))
+            kept = theta[n - 2 :: -1] > 0
+            mirror = phase * af[n:, (n - k) % (2 * n)].conj()
+            # the rule on the whole table multiplies by numpy's SIMD loop, which may round differently
+            gap = np.abs(af[n - 2 :: -1][kept] - mirror[kept])
+            assert np.all(gap <= 1e-15 * np.max(np.abs(af)))
+            assert np.all(af[n - 2 :: -1][~kept].view(np.uint64) == 0)
+            assert np.max(np.abs(af - af_chain)) <= 1e-12 * np.max(np.abs(af_chain))
 
 
 class TestShrinkMemory:
