@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .ambiguity import AmbiguityGrid
-from .covariance import HermitianCovariance
+from .ambiguity import AmbiguityGrid, _off_support
+from .covariance import HermitianCovariance, _inverted_rows
 from .procgen import TheoreticalCovariance, gen_white_noise
-from .shrinkage import shrink
+from .shrinkage import _attenuate, _fitted_rows, _theta
 
 __all__ = [
     "QQ_POINTS",
@@ -106,17 +106,21 @@ def qq_normalized_af(a: AmbiguityGrid, vbar: float) -> tuple[QQData, QQData]:
         raise ValueError(f"vbar must be positive, got {vbar!r}")
     flat = a.entries.ravel()
     origin = (a.n - 1) * (2 * a.n) + (a.n)
-    coeffs = np.delete(flat, origin)
-    if coeffs.size < 10:
-        raise ValueError(f"need at least 10 coefficients, got {coeffs.size}")
+    count = flat.size - 1
+    if count < 10:
+        raise ValueError(f"need at least 10 coefficients, got {count}")
     scale = np.sqrt(vbar / 2.0)
-    ranks = qq_ranks(coeffs.size)
-    positions = ndtri((ranks + 0.5) / coeffs.size)
+    ranks = qq_ranks(count)
+    positions = ndtri((ranks + 0.5) / count)
 
     def one(part: np.ndarray) -> QQData:
-        return QQData(np.sort(part / scale)[ranks], positions)
+        # one real copy per part, scaled and sorted in place: half a complex grid at a time
+        values = np.concatenate((part[:origin], part[origin + 1 :]))
+        values /= scale
+        values.sort()
+        return QQData(values[ranks], positions)
 
-    return one(coeffs.real), one(coeffs.imag)
+    return one(flat.real), one(flat.imag)
 
 
 def risk_report(
@@ -155,10 +159,14 @@ def risk_report(
 def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float]:
     """Monte Carlo variance of one shrunk moment entry versus its raw value.
 
-    Each replicate draws unit white noise of length ``n``, runs the full
-    estimate-normalize-fit-threshold pipeline, and records the moment at
-    lag 5 and time ``n // 2`` from both the raw and the thresholded grids.
-    A replicate whose fit exhausts its search budget still contributes its
+    Each replicate draws unit white noise of length ``n`` and records the
+    moment at lag 5 and time ``max(n // 2, 5)``, which lies on that lag's
+    support for every ``n >= 8``, from the raw lag products and from the
+    :func:`~ambishrink.shrinkage.shrink` estimate.  Only what that entry
+    needs is computed: the stages up to the fit, whose block covers
+    ``n // 2 + 1`` lag rows, and the threshold and inversion of lag row 5
+    alone, which give the entry bit for bit as ``shrink`` does.  A
+    replicate whose fit exhausts its search budget still contributes its
     best parameters, so long runs do not abort on one stubborn draw.
     Returns ``(var_eb, var_raw)`` over the replicates.
     """
@@ -166,11 +174,17 @@ def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float
         raise ValueError(f"need at least 100 replicates, got {reps}")
     if n < 8:
         raise ValueError(f"series length must be at least 8, got {n}")
-    tau_probe, t_probe = 5, n // 2
+    tau, t = 5, max(n // 2, 5)
+    off = _off_support(n)[n - 1 + tau : n + tau]
     raw_vals = np.empty(reps, dtype=complex)
     eb_vals = np.empty(reps, dtype=complex)
     for rep in range(reps):
-        est = shrink(gen_white_noise(n, seed=seed + rep))
-        raw_vals[rep] = est.m_raw.entries[tau_probe + n - 1, t_probe]
-        eb_vals[rep] = est.m_eb.entries[tau_probe + n - 1, t_probe]
+        m_raw, a_half, a_norm, params, _ = _fitted_rows(
+            gen_white_noise(n, seed=seed + rep), 0.5, max(n // 2 + 1, tau + 1)
+        )
+        # row tau never holds the origin, so theta needs no override there
+        theta = _theta(params, np.abs(a_norm[tau : tau + 1]))
+        live, row = _inverted_rows(_attenuate(a_half[tau : tau + 1], theta), m_raw.dt, off)
+        raw_vals[rep] = m_raw.entries[tau + n - 1, t]
+        eb_vals[rep] = row[0, t] if live.size else 0j
     return float(np.var(eb_vals)), float(np.var(raw_vals))

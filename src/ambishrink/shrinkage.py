@@ -566,6 +566,35 @@ def _hermitian_moments(live: np.ndarray, rows: np.ndarray, dt: float) -> LagTime
     return LagTimeMoments(buffer[: 2 * n - 1], dt=dt)
 
 
+def _fitted_rows(
+    x: TimeSeries, delta: float, count: int
+) -> tuple[LagTimeMoments, np.ndarray, np.ndarray, ShrinkageParams, bool]:
+    """The :func:`shrink` stages up to the fit, with the EMAF on the lag rows ``tau < count`` only.
+
+    Returns ``m_raw``, the raw and the normalized EMAF rows ``tau = 0 ..
+    count - 1``, the fitted parameters and whether the fit converged.
+    ``count`` must be at least ``n // 2 + 1``, so the rows hold every cell
+    :func:`fit` takes; each row is transformed on its own, so the rows, and
+    the fit, are those of any larger ``count``.
+    """
+    if np.ptp(x.samples) == 0:
+        raise ValueError("a constant record has zero magnitudes: nothing to fit")
+    delta = check_delta(delta)
+    m_raw = raw_moments(analytic_signal(demean(x)))
+    n, dt = m_raw.n, m_raw.dt
+    a_half = _emaf_rows(m_raw.entries[n - 1 : n - 1 + count], dt)
+    kappa = NormalizationField(_kappa(n, dt, delta, np.arange(count)), delta).kappa
+    a_norm = _normalized(a_half, kappa)
+    del kappa
+    if not np.all(np.isfinite(a_norm)):  # as AmbiguityGrid checks emaf's and normalize's grids
+        raise ValueError("entries contain NaN or infinity")
+    try:
+        params, converged = _fit_magnitudes(*_half_cells(a_norm, n)), True
+    except FitConvergenceError as err:
+        params, converged = err.best, False
+    return m_raw, a_half, a_norm, params, converged
+
+
 def shrink(x: TimeSeries, delta: float = 0.5) -> Shrunk:
     """Demean, analytic signal, lag products, EMAF, normalize, fit, threshold, invert.
 
@@ -581,21 +610,8 @@ def shrink(x: TimeSeries, delta: float = 0.5) -> Shrunk:
     raises ``ValueError``: demeaned it is zero, up to rounding residue that
     the fit must not take for structure.
     """
-    if np.ptp(x.samples) == 0:
-        raise ValueError("a constant record has zero magnitudes: nothing to fit")
-    delta = check_delta(delta)
-    m_raw = raw_moments(analytic_signal(demean(x)))
+    m_raw, a_half, a_norm, params, converged = _fitted_rows(x, delta, x.n)
     n, dt = m_raw.n, m_raw.dt
-    a_half = _emaf_rows(m_raw.entries[n - 1 :], dt)
-    kappa = NormalizationField(_kappa(n, dt, delta, np.arange(n)), delta).kappa
-    a_norm = _normalized(a_half, kappa)
-    del kappa
-    if not np.all(np.isfinite(a_norm)):  # as AmbiguityGrid checks emaf's and normalize's grids
-        raise ValueError("entries contain NaN or infinity")
-    try:
-        params, converged = _fit_magnitudes(*_half_cells(a_norm, n)), True
-    except FitConvergenceError as err:
-        params, converged = err.best, False
     theta = _theta(params, np.abs(a_norm))
     theta[0, n] = 1.0
     del a_norm

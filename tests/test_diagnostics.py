@@ -1,5 +1,7 @@
 """Tests for QQ extraction, risk reports, and the variance-reduction probe."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from ambishrink.procgen import (
     theoretical_covariance,
 )
 from ambishrink.series import analytic_signal, demean
-from ambishrink.shrinkage import apply_threshold, fit, threshold_field
+from ambishrink.shrinkage import apply_threshold, fit, shrink, threshold_field
 
 
 def ls_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -106,6 +108,21 @@ class TestQQNormalizedAF:
             np.testing.assert_array_equal(
                 before.theoretical_quantiles, after.theoretical_quantiles
             )
+
+    def test_peak_memory_in_grid_units(self):
+        n = 256
+        unit = (2 * n - 1) * 2 * n * 16  # one complex (2n-1, 2n) grid
+        _, _, a_norm, params = aggregation_pipeline(n, seed=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            qq_normalized_af(a_norm, params.vbar)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # an off-origin complex copy, then a scaled part and its sorted copy, held 2.0 units;
+        # one real part at a time, scaled and sorted in place, holds 0.5
+        assert peak <= 0.75 * unit
 
     def test_rejects_unnormalized_grid(self):
         rng = np.random.default_rng(24)
@@ -222,6 +239,36 @@ class TestVarianceReductionProbe:
         deviations = np.abs(vals - vals.mean()) ** 2
         se = float(np.std(deviations, ddof=1) / np.sqrt(reps))
         assert abs(var_raw - var_exact) < 3 * se
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_short_records_probe_on_the_lag_support(self, n):
+        # at time n // 2 = 4 < 5 lag 5 has no support, and both variances read 0
+        reps, seed = 100, 0
+        _, var_raw = variance_reduction_probe(n, reps, seed)
+        vals = [
+            raw_moments(analytic_signal(demean(gen_white_noise(n, seed=seed + rep)))).at(5, 5)
+            for rep in range(reps)
+        ]
+        assert var_raw > 0
+        assert var_raw == float(np.var(vals))
+
+    @pytest.mark.parametrize("seed", [0, 1000])
+    @pytest.mark.parametrize("n", [10, 16, 33, 64])
+    def test_equals_the_shrink_loop(self, n, seed):
+        # the probe as one full shrink per replicate; its tail runs on lag row 5 alone
+        reps, tau, t = 100, 5, max(n // 2, 5)
+        raw_vals = np.empty(reps, dtype=complex)
+        eb_vals = np.empty(reps, dtype=complex)
+        live_rows = 0
+        for rep in range(reps):
+            est = shrink(gen_white_noise(n, seed=seed + rep))
+            raw_vals[rep] = est.m_raw.entries[tau + n - 1, t]
+            eb_vals[rep] = est.m_eb.entries[tau + n - 1, t]
+            live_rows += bool(np.any(est.m_eb.entries[tau + n - 1]))
+        # both a row with a kept cell and a row with none are probed
+        assert 0 < live_rows < reps
+        expected = (float(np.var(eb_vals)), float(np.var(raw_vals)))
+        assert variance_reduction_probe(n, reps, seed) == expected
 
     def test_rejects_too_few_replicates(self):
         with pytest.raises(ValueError, match="replicates"):
