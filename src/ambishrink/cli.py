@@ -439,26 +439,29 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except ValueError as err:
         return _fail(str(err))
-    if args.command == "simulate":
-        try:
-            _check_seed(args.seed)
-            x = _preset(args.preset).sample(args.n, args.seed, args.dt)
-            write_signal(args.out or f"{args.preset}.sig", x)
-        except ValueError as err:
-            return _fail(str(err))
-        except OSError as err:
-            return _fail(f"cannot write output: {err}")
-        return 0
-    if args.command == "analyze":
-        try:
-            cfg = _analyze_config(args)
-        except (OSError, ValueError) as err:
-            return _fail(str(err))
-        return run_analyze(cfg)
-    if args.command == "riskbench":
-        return run_riskbench(
-            args.preset, args.reps, args.n, args.seed, args.dt, args.correction, args.out
-        )
+    try:
+        if args.command == "simulate":
+            try:
+                _check_seed(args.seed)
+                x = _preset(args.preset).sample(args.n, args.seed, args.dt)
+                write_signal(args.out or f"{args.preset}.sig", x)
+            except ValueError as err:
+                return _fail(str(err))
+            except OSError as err:
+                return _fail(f"cannot write output: {err}")
+            return 0
+        if args.command == "analyze":
+            try:
+                cfg = _analyze_config(args)
+            except (OSError, ValueError) as err:
+                return _fail(str(err))
+            return run_analyze(cfg)
+        if args.command == "riskbench":
+            return run_riskbench(
+                args.preset, args.reps, args.n, args.seed, args.dt, args.correction, args.out
+            )
+    except MemoryError as err:  # a size too large to allocate
+        return _fail(f"out of memory: {err}")
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -14,6 +14,7 @@ that is exactly zero for coefficients indistinguishable from background.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -155,14 +156,30 @@ def _log_odds(
     return logit_rho + np.log(vbar) - np.log(wide) + (1.0 / vbar - 1.0 / wide) * qsq
 
 
-def _expit_softplus(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _expit_softplus(
+    d: np.ndarray, out: tuple[np.ndarray, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``expit(d)`` and ``softplus(d) = log(1 + e^d)``, both from one ``e = exp(-|d|)``.
 
     ``expit(d)`` is ``1 / (1 + e)`` for ``d >= 0`` and ``e / (1 + e)``
     below, and ``softplus(d) = max(d, 0) + log1p(e)``; neither overflows.
+    ``out`` holds three float arrays of ``d``'s shape that the kernel
+    overwrites in full: a scratch array, then ``expit`` and ``softplus``,
+    which it returns; without it they are allocated.
     """
-    e = np.exp(-np.abs(d))
-    return np.where(d >= 0, 1.0, e) / (1.0 + e), np.maximum(d, 0.0) + np.log1p(e)
+    e, r, softplus = np.empty((3, *d.shape)) if out is None else out
+    np.abs(d, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    # e <= 1, so the numerator 1 or e is max(e, [d >= 0]); it waits in r
+    np.greater_equal(d, 0.0, out=r)
+    np.maximum(e, r, out=r)
+    np.add(e, 1.0, out=softplus)  # 1 + e, until log1p(e) replaces it
+    np.divide(r, softplus, out=r)
+    np.log1p(e, out=softplus)
+    np.maximum(d, 0.0, out=e)
+    np.add(e, softplus, out=softplus)
+    return r, softplus
 
 
 # Worst relative gap between an EMAF block magnitude and its point mirror, on
@@ -237,13 +254,18 @@ def _start(qsq: np.ndarray) -> tuple[float, np.ndarray]:
 
     ``vbar0`` matches the Rayleigh median to the median energy, ``sigma2``
     starts at the excess of the top 1% of energies (at least ``vbar0``) and
-    ``rho`` at 0.01.
+    ``rho`` at 0.01.  One partition places the two middle order statistics
+    and the top 1%; the median is taken from them as ``np.median`` does.
     """
-    vbar0 = float(np.median(qsq)) / np.log(2.0)
+    size = qsq.size
+    top = max(1, int(round(0.01 * size)))
+    low, high = (size - 1) // 2, size // 2
+    part = np.partition(qsq, [low, high, size - top])
+    median = float(part[low]) if low == high else float(part[low] + part[high]) / 2.0
+    vbar0 = median / math.log(2.0)
     if vbar0 <= 0:
         raise ValueError("degenerate magnitudes: zero median energy")
-    top = max(1, int(round(0.01 * qsq.size)))
-    tail_mean = float(np.mean(np.partition(qsq, qsq.size - top)[-top:]))
+    tail_mean = float(np.mean(part[size - top :]))
     sigma2_0 = max(tail_mean - vbar0, vbar0)
     return vbar0, np.array([0.0, logit(0.01), np.log(sigma2_0 / vbar0)])
 
@@ -260,122 +282,162 @@ def _mixture_objective(y: np.ndarray, w: np.ndarray):
     :func:`_expit_softplus`), and one reduction: the six weighted products
     are written into one buffer and summed row by row, which gives each sum
     bit for bit as ``np.sum`` of that product alone.
-    """
-    w_sum = float(np.sum(w))
-    weighted = np.stack([w, w * y, w * y * y])  # w, w y, w y^2
-    wy_sum = float(np.sum(weighted[1]))
-    products = np.empty((6, y.size))
 
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        x0, x1, x2 = x.tolist()
-        vbar = np.exp(min(max(x0, -700.0), 700.0))
-        sigma2 = np.exp(min(max(x2, -700.0), 700.0))
+    The per-cell arrays are made once, here, and each evaluation overwrites
+    them; everything else it computes is a Python float.  It returns the
+    value as a float and new gradient and Hessian arrays, which share no
+    memory with those buffers.  The returned function carries ``sums =
+    (sum(w), sum(w y))``, which the null fit of :func:`fit` reads.
+    """
+    wy = w * y
+    w_sum, wy_sum = float(np.sum(w)), float(np.sum(wy))
+    # per cell, made once and overwritten by each evaluation: the log-odds d,
+    # r (1 - r), and the scratch, r = expit(d) and softplus(d) of _expit_softplus
+    d, rv, *kernel = np.empty((5, y.size))
+    r, softplus = kernel[1:]
+    products = np.empty((6, y.size))
+    # its rows: w r, w y r, w rv, w y rv, w y^2 rv (rv = r (1 - r)) and w softplus
+    terms = list(zip((w, wy, w, wy, wy * y, w), (r, r, rv, rv, rv, softplus), products))
+
+    def objective(x) -> tuple[float, np.ndarray, np.ndarray]:
+        x0, x1, x2 = map(float, x)
+        vbar = math.exp(min(max(x0, -700.0), 700.0))
+        sigma2 = math.exp(min(max(x2, -700.0), 700.0))
         wide = vbar + sigma2
-        r, softplus = _expit_softplus(_log_odds(x1, vbar, sigma2, y))
-        # rows w r, w y r, w rv, w y rv, w y^2 rv (rv = r (1 - r)) and w softplus,
+        log_vbar = math.log(vbar)
+        # d = alpha + beta y, as _log_odds(x1, vbar, sigma2, y) takes it
+        np.multiply(y, 1.0 / vbar - 1.0 / wide, out=d)
+        np.add(d, x1 + log_vbar - math.log(wide), out=d)
+        _expit_softplus(d, kernel)
+        np.subtract(1.0, r, out=rv)
+        np.multiply(rv, r, out=rv)
+        for weight, cell, out in terms:
+            np.multiply(weight, cell, out=out)
         # summed by np.sum, not BLAS dots: threaded ddot is slower here
-        np.multiply(weighted[:2], r, out=products[:2])
-        np.multiply(weighted, r * (1.0 - r), out=products[2:5])
-        np.multiply(w, softplus, out=products[5])
         r0, r1, v0, v1, v2, softplus_sum = products.sum(axis=1).tolist()
+        # rho = expit(x1), 1 - rho = expit(-x1) and logaddexp(0, x1), from one exp
+        e1 = math.exp(-abs(x1))
+        above, below = 1.0 / (1.0 + e1), e1 / (1.0 + e1)  # expit(|x1|), expit(-|x1|)
+        rho, rho_c = (above, below) if x1 >= 0 else (below, above)
         # log density = log(1 - rho) - log vbar - y / vbar + softplus(d)
-        value = w_sum * (np.logaddexp(0.0, x1) + np.log(vbar)) + wy_sum / vbar
+        value = w_sum * (max(x1, 0.0) + math.log1p(e1) + log_vbar) + wy_sum / vbar
         value -= softplus_sum
-        # d's first partial derivatives are alpha_i + beta_i y
-        share, curl, rho = sigma2 / wide, sigma2 * vbar / wide**2, expit(x1)
-        alpha, beta = (share, 1.0, -share), (-share * (1.0 / vbar + 1.0 / wide), 0.0, share / wide)
+        # d's first partial derivatives are alpha_i + beta_i y; share and curl are
+        # sigma2 / wide and sigma2 vbar / wide^2, taken without wide^2, which under- or overflows
+        inv_sum, share = 1.0 / vbar + 1.0 / wide, sigma2 / wide
+        curl = share * (vbar / wide)
+        alpha, beta = (share, 1.0, -share), (-share * inv_sum, 0.0, share / wide)
         grad = np.array([
-            w_sum - wy_sum / vbar - share * (r0 - r1 * (1.0 / vbar + 1.0 / wide)),
+            w_sum - wy_sum / vbar - share * (r0 - r1 * inv_sum),
             rho * w_sum - r0,
             share * (r0 - r1 / wide),
         ])
-        # sum(w r (1 - r) d_i d_j)
-        outer = [
-            [ai * aj * v0 + (ai * bj + aj * bi) * v1 + bi * bj * v2 for aj, bj in zip(alpha, beta)]
-            for ai, bi in zip(alpha, beta)
-        ]
         # background terms less sum(w r d_ij), with d_ij affine in y as well
-        aa = wy_sum / vbar + curl * r0 - share * (1.0 / vbar + 1.0 / wide + 2.0 * vbar / wide**2) * r1
+        aa = wy_sum / vbar + curl * r0 - share * (inv_sum + 2.0 * (vbar / wide) / wide) * r1
         ac = -curl * r0 + 2.0 * curl / wide * r1
-        cc = curl * r0 - share * (vbar - sigma2) / wide**2 * r1
-        hess = np.array([[aa, 0.0, ac], [0.0, w_sum * rho * expit(-x1), 0.0], [ac, 0.0, cc]])
-        return float(value), grad, hess - np.array(outer)
+        cc = curl * r0 - share * ((vbar - sigma2) / wide) / wide * r1
+        background = ((aa, 0.0, ac), (0.0, w_sum * rho * rho_c, 0.0), (ac, 0.0, cc))
+        # less sum(w r (1 - r) d_i d_j)
+        hess = np.array([
+            [
+                h - (ai * aj * v0 + (ai * bj + aj * bi) * v1 + bi * bj * v2)
+                for h, aj, bj in zip(row, alpha, beta)
+            ]
+            for row, ai, bi in zip(background, alpha, beta)
+        ])
+        return value, grad, hess
 
+    objective.sums = (w_sum, wy_sum)
     return objective
 
 
-def _trust_step(lam: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
+def _dot(u: list[float], v: list[float]) -> float:
+    """``u . v`` of two 3-vectors, on Python floats."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _trust_step(lam: list[float], g: list[float], radius: float) -> np.ndarray:
     """Minimizer of ``g . s + sum(lam s^2) / 2`` over ``|s| <= radius``, to 10%.
 
     ``lam`` are the Hessian's ascending eigenvalues, ``g`` the gradient in its
-    eigenbasis.  The Newton step ``-g / lam`` if ``lam > 0`` and it fits, else
-    ``s = -g / (lam + mu)``, cut to the radius, for ``mu`` near the root of
-    ``1/|s| - 1/radius`` (Moré–Sorensen): Newton steps, bisecting the bracket
-    ``[max(0, -lam[0]), that + |g| / radius]`` when they leave it.
+    eigenbasis, both 3-vectors of floats.  The Newton step ``-g / lam`` if
+    ``lam > 0`` and it fits, else ``s = -g / (lam + mu)``, cut to the radius,
+    for ``mu`` near the root of ``1/|s| - 1/radius`` (Moré–Sorensen): Newton
+    steps, bisecting the bracket ``[max(0, -lam[0]), that + |g| / radius]``
+    when they leave it.  The algebra runs on Python floats; the step comes
+    back as an array.
     """
-    # math.sqrt(v @ v) is np.linalg.norm(v) to the bit, without its overhead; a sum of
-    # squares on Python floats rounds differently and changed a fit's step count
     if lam[0] > 0:
-        newton = -g / lam
-        if math.sqrt(newton @ newton) <= radius:
-            return newton
+        newton = [-gi / li for gi, li in zip(g, lam)]
+        if math.sqrt(_dot(newton, newton)) <= radius:
+            return np.array(newton)
     lo = max(0.0, -lam[0])
-    hi = lo + math.sqrt(g @ g) / radius
+    hi = lo + math.sqrt(_dot(g, g)) / radius
     mu = lo if lam[0] > 0 else hi  # lam + lo has a zero unless lam[0] > 0
     while True:
-        s = -g / (lam + mu)
-        length = math.sqrt(s @ s)
+        s = [-gi / (li + mu) for gi, li in zip(g, lam)]
+        squared = _dot(s, s)
+        length = math.sqrt(squared)
         if abs(length - radius) <= 0.1 * radius:
             break
         lo, hi = (lo, mu) if length < radius else (mu, hi)
-        mu += length**2 / np.sum(s * s / (lam + mu)) * (length - radius) / radius
+        slope = sum(si * si / (li + mu) for si, li in zip(s, lam))
+        mu += squared / slope * (length - radius) / radius
         if not lo < mu < hi:
             mu = 0.5 * (lo + hi)
             if not lo < mu < hi:  # closed on lo: g is orthogonal to the lowest eigenvector
                 break
-    return s * (radius / max(length, radius))
+    scale = radius / max(length, radius)
+    return np.array([si * scale for si in s])
 
 
-def _newton(objective, x: np.ndarray, w_sum: float) -> tuple[np.ndarray, float, int, bool]:
+def _newton(objective, x: list[float], w_sum: float) -> tuple[list[float], float, int, bool]:
     """Trust-region Newton search: final ``x``, its value, steps taken, and convergence.
 
-    Each step takes one ``eigh`` of the Hessian.  It converges once that is
-    positive definite with Newton decrement ``grad . hess^-1 . grad`` at most
-    ``1e-13 w_sum`` (then one last Newton step, kept unless it raises the
-    value, takes ``x`` to rounding level), once a step predicts less
-    reduction than the rounding of the value, or at a stationary point.  The
-    radius starts at 1, shrinks to a quarter of a poor step and grows to
-    twice a good one.
+    Each step takes one ``eigh`` of the Hessian; the rest of a step, the
+    3-vector algebra in and out of its eigenbasis, runs on Python floats.
+    It converges once that is positive definite with Newton decrement
+    ``grad . hess^-1 . grad`` at most ``1e-13 w_sum`` (then one last Newton
+    step, kept unless it raises the value, takes ``x`` to rounding level),
+    once a step predicts less reduction than the rounding of the value, or
+    at a stationary point.  The radius starts at 1, shrinks to a quarter of
+    a poor step and grows to twice a good one.
     """
-    value, grad, hess = objective(x)
+
+    def evaluate(x: list[float]) -> tuple[float, list[float], np.ndarray]:
+        value, grad, hess = objective(x)
+        return value, grad.tolist(), hess
+
+    value, grad, hess = evaluate(x)
     radius = 1.0
     for taken in range(_MAX_ITERATIONS + 1):
-        if not np.any(grad):
+        if not any(grad):
             return x, value, taken, True
-        lam, vecs = np.linalg.eigh(hess)
-        g = vecs.T @ grad
-        if lam[0] > 0 and np.sum(g * g / lam) <= 1e-13 * w_sum:
-            newton = x - vecs @ (g / lam)
-            final = objective(newton)
-            if final[0] <= value:
-                return newton, final[0], taken + 1, True
+        lam, vecs = (m.tolist() for m in np.linalg.eigh(hess))
+        g = [_dot(column, grad) for column in zip(*vecs)]
+        if lam[0] > 0 and sum(gi * gi / li for gi, li in zip(g, lam)) <= 1e-13 * w_sum:
+            step = [gi / li for gi, li in zip(g, lam)]
+            newton = [xi - _dot(row, step) for xi, row in zip(x, vecs)]
+            final = objective(newton)[0]
+            if final <= value:
+                return newton, final, taken + 1, True
             return x, value, taken, True
         if taken == _MAX_ITERATIONS:
             break
-        s = _trust_step(lam, g, radius)
-        predicted = -float(g @ s + 0.5 * np.sum(lam * s * s))
-        if predicted <= np.finfo(float).eps * (abs(value) + w_sum):
+        s = _trust_step(lam, g, radius).tolist()
+        predicted = -(_dot(g, s) + 0.5 * sum(li * si * si for li, si in zip(lam, s)))
+        if predicted <= sys.float_info.epsilon * (abs(value) + w_sum):
             return x, value, taken, True
-        p = vecs @ s
-        trial = objective(x + p)
-        ratio = (value - trial[0]) / predicted if np.isfinite(trial[0]) else -np.inf
-        length = math.sqrt(s @ s)
+        moved = [xi + _dot(row, s) for xi, row in zip(x, vecs)]
+        trial = evaluate(moved)
+        ratio = (value - trial[0]) / predicted if math.isfinite(trial[0]) else -math.inf
+        length = math.sqrt(_dot(s, s))
         if ratio < 0.25:
             radius = 0.25 * length
         elif ratio > 0.75:
             radius = max(radius, 2.0 * length)
         if ratio > 1e-4:
-            x, (value, grad, hess) = x + p, trial
+            x, (value, grad, hess) = moved, trial
     return x, value, _MAX_ITERATIONS, False
 
 
@@ -416,13 +478,13 @@ def _fit_magnitudes(q: np.ndarray, w: np.ndarray) -> ShrinkageParams:
     if not np.isfinite(wqsq_sum):
         raise ValueError("squared magnitudes overflow floating point")
     vbar0, x0 = _start(qsq)
-    y = qsq / vbar0
-    w_sum = float(np.sum(w))
-    x, value, iterations, converged = _newton(_mixture_objective(y, w), x0, w_sum)
-    null_vbar = float(np.sum(w * y)) / w_sum
+    objective = _mixture_objective(qsq / vbar0, w)
+    w_sum, wy_sum = objective.sums
+    x, value, iterations, converged = _newton(objective, x0.tolist(), w_sum)
+    null_vbar = wy_sum / w_sum
     null_value = w_sum * (np.log(null_vbar) + 1.0)
     if null_value <= value + 1e-12 * w_sum:
-        x, value = np.array([np.log(null_vbar), -np.inf, -np.inf]), null_value
+        x, value = [np.log(null_vbar), -np.inf, -np.inf], null_value
     shift = np.log(vbar0)
     params = ShrinkageParams(
         vbar=float(np.exp(x[0] + shift)),

@@ -499,6 +499,26 @@ class TestRiskbench:
         assert_one_error_line(capsys, "cannot write")
 
 
+class TestUnallocatableSize:
+    # Each request is larger than the 128 TiB of a 47-bit user address space, so
+    # the allocation fails at once under any overcommit policy.  Never test a
+    # size that can be allocated: the run would fill the memory instead.
+
+    def test_riskbench_reps_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "b.txt"
+        argv = ["riskbench", "whitenoise", "--n", "8", "--reps", "10000000000000"]
+        assert main(argv + ["--out", str(out)]) == 2  # 146 TiB of probe values
+        assert_one_error_line(capsys, "out of memory")
+        assert not out.exists()
+
+    def test_simulate_length_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "w.sig"
+        argv = ["simulate", "whitenoise", "--n", "100000000000000"]
+        assert main(argv + ["--out", str(out)]) == 2  # 728 TiB of samples
+        assert_one_error_line(capsys, "out of memory")
+        assert not out.exists()
+
+
 def summary_keys(outdir) -> list[str]:
     return list(read_summary(outdir / "summary.txt"))
 

@@ -564,6 +564,61 @@ class TestOneReduction:
         assert [v.hex() for v in sums] == [v.hex() for v in separate]
 
 
+class TestReusedBuffers:
+    def test_an_evaluation_leaks_nothing_into_the_next(self):
+        # the objective overwrites per-cell buffers made once per fit; x_b moves most
+        # log-odds across zero, so a cell left unwritten would carry x_b's value into x_a's
+        q, w = shrinkage_module._fit_cells(mixture_grid(16, 1.0, 0.05, 50.0, seed=2))
+        objective = shrinkage_module._mixture_objective(q * q, w)
+        x_a, x_b = np.array([-0.5, -3.0, 1.0]), np.array([0.5, 3.0, -1.0])
+        first = objective(x_a)
+        expected = (first[0], first[1].copy(), first[2].copy())
+        between = objective(x_b)
+        np.testing.assert_array_equal(first[1], expected[1])  # not a view of a reused buffer
+        np.testing.assert_array_equal(first[2], expected[2])
+        again = objective(x_a)
+        for result in (first, again):
+            assert result[0].hex() == expected[0].hex()
+            np.testing.assert_array_equal(result[1], expected[1])
+            np.testing.assert_array_equal(result[2], expected[2])
+        assert between[0] != expected[0]
+        # returned arrays are the caller's: writing into them changes no later evaluation
+        for result in (first, between, again):
+            result[1][:] = np.nan
+            result[2][:] = np.nan
+        after = objective(x_a)
+        assert after[0].hex() == expected[0].hex()
+        np.testing.assert_array_equal(after[1], expected[1])
+        np.testing.assert_array_equal(after[2], expected[2])
+
+
+class TestStart:
+    @pytest.mark.parametrize("size", [1, 2, 3, 99, 100, 2112])
+    @pytest.mark.parametrize("kind", ["distinct", "ties", "equal"])
+    def test_matches_the_median_and_the_top_mean(self, size, kind):
+        rng = np.random.default_rng(size)
+        qsq = {
+            "distinct": rng.exponential(1.0, size),
+            "ties": 0.37 * rng.integers(1, 4, size),
+            "equal": np.full(size, 0.37),
+        }[kind]
+        vbar0, x0 = shrinkage_module._start(qsq.copy())
+        assert vbar0.hex() == (np.median(qsq) / np.log(2.0)).hex()
+        top = max(1, int(round(0.01 * size)))
+        tail = np.mean(np.sort(qsq)[size - top :])
+        # x0[2] is log(sigma2_0 / vbar0) with sigma2_0 = max(tail - vbar0, vbar0); a
+        # relative error e in the tail mean moves it by e tail / (tail - vbar0)
+        expected = np.log(max(tail - vbar0, vbar0) / vbar0)
+        slack = 1e-15 * tail / (tail - vbar0) if tail > 2.0 * vbar0 else 0.0
+        assert abs(x0[2] - expected) <= slack + 4.0 * np.spacing(abs(expected))
+        assert x0[:2].tolist() == [0.0, logit(0.01)]
+
+    @pytest.mark.parametrize("qsq", [[0.0], [0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 2.0, 5.0]])
+    def test_zero_median_energy_raises(self, qsq):
+        with pytest.raises(ValueError, match="zero median energy"):
+            shrinkage_module._start(np.array(qsq))
+
+
 def full_block_cells(a: AmbiguityGrid) -> tuple[np.ndarray, np.ndarray]:
     """The whole central block minus the origin, as :func:`_fit_cells` gave it before the mirror rule."""
     n, h = a.n, a.n // 2
