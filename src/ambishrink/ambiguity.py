@@ -192,8 +192,10 @@ def _emaf_rows(rows: np.ndarray, dt: float) -> np.ndarray:
     spectra = np.fft.fft(rows, n=2 * n, axis=1)
     # fftshift and the dt scale in one pass: column k + n holds bin k mod 2n
     shifted = np.empty_like(spectra)
-    np.multiply(dt, spectra[:, n:], out=shifted[:, :n])
-    np.multiply(dt, spectra[:, :n], out=shifted[:, n:])
+    # an overflowing coefficient is reported by AmbiguityGrid as a non-finite entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(dt, spectra[:, n:], out=shifted[:, :n])
+        np.multiply(dt, spectra[:, :n], out=shifted[:, n:])
     return shifted
 
 
@@ -233,7 +235,8 @@ def normalization(n: int, dt: float = 1.0, delta: float = 0.5) -> NormalizationF
 
 def _normalized(entries: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     """Coefficients divided by ``sqrt(kappa)``, cell by cell, on any rows."""
-    return entries / np.sqrt(kappa)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _emaf_rows
+        return entries / np.sqrt(kappa)
 
 
 def normalize(a: AmbiguityGrid, f: NormalizationField) -> AmbiguityGrid:

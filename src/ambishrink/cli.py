@@ -251,6 +251,7 @@ def _write_summary(
 
 
 def run_analyze(cfg: PipelineConfig) -> int:
+    """Estimate ``cfg.input`` into ``cfg.outdir``; any estimate stage's failure is one line."""
     path = Path(cfg.input)
     if path.exists():
         try:
@@ -261,24 +262,13 @@ def run_analyze(cfg: PipelineConfig) -> int:
         x = _PRESETS[cfg.input].sample(cfg.n, cfg.seed, cfg.dt)
     else:
         return _fail(f"input {cfg.input!r} is neither a file nor a preset")
-    try:
-        kernel = _smoothing_kernel(cfg.kernel, x.dt)
-    except ValueError as err:
-        return _fail(str(err))
-
+    kernel = _smoothing_kernel(cfg.kernel, x.dt)
     outdir = Path(cfg.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         return _fail(f"cannot create output directory: {err}")
-    try:
-        return _analyze_into(outdir, cfg, x, kernel)
-    except OSError as err:
-        return _fail(f"cannot write output: {err}")
 
-
-def _analyze_into(outdir: Path, cfg: PipelineConfig, x: TimeSeries, kernel) -> int:
-    """Estimate ``x`` and write every artifact into ``outdir``; return the exit code."""
     n = x.n
     if not np.any(x.samples):
         grid = np.zeros((2 * n - 1, 2 * n), dtype=complex)
@@ -308,12 +298,12 @@ def _analyze_into(outdir: Path, cfg: PipelineConfig, x: TimeSeries, kernel) -> i
             return 3
         af_eb = apply_threshold(a_raw, est.theta).entries
         del a_raw  # freed before the covariance and the TFR are built
+        cov_est = assemble(est.m_eb)
+        cov = correct(cov_est, cfg.correction)
+        tfr = bilinear(est.m_eb, alpha=cfg.alpha, kernel=kernel).values
     except ValueError as err:
         return _fail(f"cannot analyze {cfg.input}: {err}")
 
-    cov_est = assemble(est.m_eb)
-    cov = correct(cov_est, cfg.correction)
-    tfr = bilinear(est.m_eb, alpha=cfg.alpha, kernel=kernel).values
     theta, mineig = est.theta.theta, cov.min_eigenvalue()
     _write_estimate(outdir, cfg, theta, af_eb, est.m_eb.entries, cov.entries, mineig, tfr)
     estimate = (cov_est.min_eigenvalue(), mineig, np.mean(theta > 0))
@@ -325,31 +315,25 @@ def run_riskbench(
     preset: str, reps: int, n: int, seed: int, dt: float, correction: str, out: str
 ) -> int:
     if reps < 1:
-        return _fail(f"reps must be positive, got {reps}")
-    try:
-        spec = _preset(preset)
-        if n < 8:
-            raise ValueError(f"series length must be at least 8, got {n}")
-        dt = check_dt(dt)
-        _check_seed(seed)
-        truth = TheoreticalCovariance(_analytic_truth(spec.truth(n, dt).entries))
-        var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), seed)
-        ratios = np.empty(reps)
-        for rep in range(reps):
-            est = shrink(spec.sample(n, seed + rep, dt))
-            shrunk = correct(assemble(est.m_eb), correction)
-            ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
-    except ValueError as err:
-        return _fail(str(err))
-    try:
-        with open(out, "w") as fh:
-            fh.write(f"# riskbench v1 preset={preset} n={n} reps={reps} seed={seed}\n")
-            for rep, ratio in enumerate(ratios):
-                fh.write(f"rep={rep} ratio={_fmt_real(float(ratio))}\n")
-            fh.write(f"var_eb={_fmt_real(var_eb)} var_raw={_fmt_real(var_raw)}\n")
-            fh.write(f"mean_ratio={_fmt_real(float(np.mean(ratios)))}\n")
-    except OSError as err:
-        return _fail(f"cannot write output: {err}")
+        raise ValueError(f"reps must be positive, got {reps}")
+    spec = _preset(preset)
+    if n < 8:
+        raise ValueError(f"series length must be at least 8, got {n}")
+    dt = check_dt(dt)
+    _check_seed(seed)
+    truth = TheoreticalCovariance(_analytic_truth(spec.truth(n, dt).entries))
+    var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), seed)
+    ratios = np.empty(reps)
+    for rep in range(reps):
+        est = shrink(spec.sample(n, seed + rep, dt))
+        shrunk = correct(assemble(est.m_eb), correction)
+        ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
+    with open(out, "w") as fh:
+        fh.write(f"# riskbench v1 preset={preset} n={n} reps={reps} seed={seed}\n")
+        for rep, ratio in enumerate(ratios):
+            fh.write(f"rep={rep} ratio={_fmt_real(float(ratio))}\n")
+        fh.write(f"var_eb={_fmt_real(var_eb)} var_raw={_fmt_real(var_raw)}\n")
+        fh.write(f"mean_ratio={_fmt_real(float(np.mean(ratios)))}\n")
     return 0
 
 
@@ -435,32 +419,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the one place that reports each error class as one line, exit code 2."""
     try:
         args = build_parser().parse_args(argv)
-    except ValueError as err:
-        return _fail(str(err))
-    try:
         if args.command == "simulate":
-            try:
-                _check_seed(args.seed)
-                x = _preset(args.preset).sample(args.n, args.seed, args.dt)
-                write_signal(args.out or f"{args.preset}.sig", x)
-            except ValueError as err:
-                return _fail(str(err))
-            except OSError as err:
-                return _fail(f"cannot write output: {err}")
+            _check_seed(args.seed)
+            x = _preset(args.preset).sample(args.n, args.seed, args.dt)
+            write_signal(args.out or f"{args.preset}.sig", x)
             return 0
         if args.command == "analyze":
             try:
                 cfg = _analyze_config(args)
-            except (OSError, ValueError) as err:
+            except OSError as err:  # an unreadable config file, not a failed write
                 return _fail(str(err))
             return run_analyze(cfg)
         if args.command == "riskbench":
             return run_riskbench(
                 args.preset, args.reps, args.n, args.seed, args.dt, args.correction, args.out
             )
-    except MemoryError as err:  # a size too large to allocate
+    except ValueError as err:
+        return _fail(str(err))
+    except OSError as err:
+        return _fail(f"cannot write output: {err}")
+    except MemoryError as err:
         return _fail(f"out of memory: {err}")
     raise AssertionError(f"unhandled command {args.command!r}")
 

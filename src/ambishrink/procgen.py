@@ -203,7 +203,9 @@ def gen_tv_filter(p: TimeVaryingFilterProcess, n: int) -> TimeSeries:
         raise ValueError(f"filter returned shape {h.shape}, expected {(2 * m + 1, n)}")
     # eps index t - k lives in [-m, n-1+m]; offset by m into the drawn block.
     idx = ts[None, :] - ks[:, None] + m
-    driven = p.dt * np.sum(h * eps[idx], axis=0)
+    # an overflowing sample is reported by TimeSeries as a non-finite one
+    with np.errstate(over="ignore", invalid="ignore"):
+        driven = p.dt * np.sum(h * eps[idx], axis=0)
     floor = p.noise_floor * rng.standard_normal(n)
     return TimeSeries(driven + floor, dt=p.dt)
 
@@ -240,14 +242,16 @@ def theoretical_covariance(
         ts = np.arange(n)
         h = np.asarray(p.filt(ks[:, None], ts[None, :]), dtype=float)
         entries = np.zeros((n, n))
-        # lags beyond n - 1 pair no samples (and d <= -n would wrap the slice below)
-        for d in range(max(-2 * m, 1 - n), min(2 * m, n - 1) + 1):
-            s = ts[max(0, d) : n + min(0, d)]
-            k_lo, k_hi = max(-m, d - m), min(m, d + m)
-            kv = np.arange(k_lo, k_hi + 1)
-            # sum over k of h(k, s) h(k-d, s-d), aligned on valid filter taps
-            prods = h[kv[:, None] + m, s[None, :]] * h[kv[:, None] - d + m, s[None, :] - d]
-            entries[s, s - d] = p.dt**2 * prods.sum(axis=0)
+        # dt * dt overflows to inf where dt**2 raises; TheoreticalCovariance rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            # lags beyond n - 1 pair no samples (and d <= -n would wrap the slice below)
+            for d in range(max(-2 * m, 1 - n), min(2 * m, n - 1) + 1):
+                s = ts[max(0, d) : n + min(0, d)]
+                k_lo, k_hi = max(-m, d - m), min(m, d + m)
+                kv = np.arange(k_lo, k_hi + 1)
+                # sum over k of h(k, s) h(k-d, s-d), aligned on valid filter taps
+                prods = h[kv[:, None] + m, s[None, :]] * h[kv[:, None] - d + m, s[None, :] - d]
+                entries[s, s - d] = p.dt * p.dt * prods.sum(axis=0)
         entries[np.diag_indices(n)] += p.noise_floor**2
         return TheoreticalCovariance(entries)
     if isinstance(p, AggregationProcess):

@@ -135,9 +135,10 @@ def bilinear(m: LagTimeMoments, alpha: float = 0.5, kernel: TimeKernel | None = 
                 raise ValueError(
                     f"kernel returned {weights.shape} weights for {offsets.size} offsets"
                 )
-            full = np.convolve(recentred[i], weights[::-1])
+            # one dt of the dt^2 factor scales the weights, so dt^2 is never formed to overflow
+            full = np.convolve(recentred[i], m.dt * weights[::-1])
             smoothed[i] = full[n - 1 : 2 * n - 1]
-        factor = m.dt**2
+        factor = m.dt
     values = factor * _lag_axis_transform(smoothed, n).T
     return TFRGrid(values, dt=m.dt)
 

@@ -155,6 +155,13 @@ class TestEmaf:
         scale = np.max(np.abs(m.entries))
         np.testing.assert_allclose(back.entries, m.entries, atol=1e-10 * scale)
 
+    def test_overflowing_coefficients_are_rejected_without_warnings(self):
+        m = random_moments(8, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infinity"):
+                emaf(LagTimeMoments(1e10 * m.entries, dt=1e300))
+
 
 class TestNormalizationField:
     def test_origin_plugins(self):
@@ -229,6 +236,14 @@ class TestNormalize:
         a = pipeline_grid(8, 3)
         with pytest.raises(ValueError, match="shape"):
             normalize(a, normalization(16, a.dt, 0.5))
+
+    def test_overflowing_quotients_are_rejected_without_warnings(self):
+        a = pipeline_grid(8, 5)
+        big = AmbiguityGrid(1e300 * a.entries, dt=a.dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infinity"):
+                normalize(big, NormalizationField(np.full(a.entries.shape, 1e-30)))
 
     def test_white_noise_interior_variance_is_flat(self):
         # Sample variance of the normalized coefficients over replicates

@@ -10,12 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import ambishrink.cli as cli
 from ambishrink.ambiguity import emaf, normalization, normalize
 from ambishrink.cli import PipelineConfig, main, run_analyze
-from ambishrink.procgen import gen_aggregation
+from ambishrink.procgen import gen_aggregation, gen_white_noise
 from ambishrink.series import TimeSeries, analytic_spectrum_weights
 from ambishrink.shrinkage import FitConvergenceError, ShrinkageParams, apply_threshold, shrink
 from ambishrink.textio import read_matrix, read_signal, write_matrix, write_signal
@@ -807,3 +809,67 @@ class TestKernelOrder:
         assert main(["analyze", "--config", str(cfg), "--outdir", str(tmp_path / "r")]) == 2
         assert_one_error_line(capsys, "gaussian:5:1")
         assert not (tmp_path / "r").exists()
+
+
+class TestFailureContract:
+    """Every run exits 0, 2 or 3, writes at most one stderr line and raises nothing out of main."""
+
+    @staticmethod
+    def run(capsys, argv: list[str]) -> int:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), err
+        assert err.count("\n") == (0 if code == 0 else 1), err
+        assert code == 0 or err.startswith("error: "), err
+        return code
+
+    @settings(
+        max_examples=40,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        n=st.integers(8, 24),
+        seed=st.integers(0, 2**16),
+        amplitude=st.floats(-160, 160),
+        dt=st.floats(-160, 160),
+        kernel=st.sampled_from(["delta", "hann:5", "hermite:5:2"]),
+        alpha=st.sampled_from(["-0.5", "0", "0.5"]),
+        correction=st.sampled_from(["clip", "shift"]),
+    )
+    def test_analyze_at_any_scale(
+        self, tmp_path, capsys, n, seed, amplitude, dt, kernel, alpha, correction
+    ):
+        sig = tmp_path / "x.sig"
+        samples = 10.0**amplitude * gen_white_noise(n, seed=seed).samples
+        write_signal(sig, TimeSeries(samples, dt=10.0**dt))
+        argv = ["analyze", "--input", str(sig), "--outdir", str(tmp_path / "r"), "--kernel", kernel]
+        self.run(capsys, argv + [f"--alpha={alpha}", "--correction", correction])
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["analyze", "--input", "tvchirp", "--n", "8", "--dt", "1e100"], "cannot analyze"),
+            (["riskbench", "tvchirp", "--n", "16", "--reps", "1", "--dt", "1e100"], "infinity"),
+            (["riskbench", "tvchirp", "--n", "16", "--reps", "1", "--dt", "1e300"], "infinity"),
+            (["simulate", "tvchirp", "--n", "16", "--dt", "1e308"], "infinity"),
+        ],
+        ids=["analyze-1e100", "riskbench-1e100", "riskbench-truth-1e300", "simulate-1e308"],
+    )
+    def test_overflowing_preset_exits_2(self, tmp_path, capsys, argv, fragment):
+        out = ["--outdir" if argv[0] == "analyze" else "--out", str(tmp_path / "r")]
+        assert main(argv + out) == 2
+        assert_one_error_line(capsys, fragment)
+
+    @pytest.mark.parametrize(
+        "scale, dt, kernel, code",
+        [(1e10, 1e300, "delta", 2), (1e-100, 1e160, "hann:5", 0)],
+        ids=["emaf-overflow", "kernel-tfr"],
+    )
+    def test_file_record_at_huge_dt(self, tmp_path, capsys, scale, dt, kernel, code):
+        sig = tmp_path / "x.sig"
+        write_signal(sig, TimeSeries(scale * gen_white_noise(16, seed=1).samples, dt=dt))
+        argv = ["analyze", "--input", str(sig), "--outdir", str(tmp_path / "r"), "--kernel", kernel]
+        assert self.run(capsys, argv) == code

@@ -1,5 +1,6 @@
 """Tests for the synthetic process generators and their population references."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -183,6 +184,19 @@ class TestGenTvFilter:
     def test_rejects_too_short_record(self):
         with pytest.raises(ValueError, match="n >="):
             gen_tv_filter(chirp_filter_process(), 1)
+
+    def test_overflowing_samples_are_rejected_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infinity"):
+                gen_tv_filter(replace(chirp_filter_process(), dt=1e308), 16)
+
+    def test_overflowing_truth_is_rejected_without_warnings(self):
+        # dt**2 would raise OverflowError here; the type reports the overflow instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infinity"):
+                theoretical_covariance(replace(chirp_filter_process(), dt=1e300), 16)
 
 
 class TestTheoreticalCovariance:

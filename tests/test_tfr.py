@@ -173,6 +173,15 @@ class TestBilinear:
         expected = bilinear_reference(m, alpha=0.0, kernel=gauss)
         np.testing.assert_allclose(surface.values, expected, atol=1e-10)
 
+    def test_kernel_surface_past_where_dt_squared_overflows(self):
+        # a unit-mass kernel has height 1/dt, so the surface is dt times that at dt = 1
+        def kernel_at(dt):
+            return lambda tau, offsets: np.exp(-0.5 * (offsets / (1.5 * dt)) ** 2) / dt
+
+        unit = bilinear(random_moments(6, seed=12), alpha=0.0, kernel=kernel_at(1.0))
+        huge = bilinear(random_moments(6, seed=12, dt=1e160), alpha=0.0, kernel=kernel_at(1e160))
+        np.testing.assert_allclose(huge.values, 1e160 * unit.values, rtol=1e-13)
+
     def test_wigner_of_exact_moments_is_real(self):
         m = hermitian_moments(8, seed=5)
         surface = bilinear(m, alpha=0.0)
