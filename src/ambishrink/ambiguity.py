@@ -71,8 +71,15 @@ def lag_matrix(entries: np.ndarray) -> np.ndarray:
     n = entries.shape[-1]
     if entries.shape != (2 * n - 1, n):
         raise ValueError(f"expected shape (2n-1, n), got {entries.shape}")
-    rows, cols = entries.strides
-    return as_strided(entries[n - 1 :], shape=(n, n), strides=(rows + cols, -rows))
+    return _lag_view(entries)
+
+
+def _lag_view(entries: np.ndarray) -> np.ndarray:
+    """The :func:`lag_matrix` view of each ``(2n-1, n)`` grid of a stack, for a checked shape."""
+    n = entries.shape[-1]
+    *stack, rows, cols = entries.strides
+    shape = (*entries.shape[:-2], n, n)
+    return as_strided(entries[..., n - 1 :, :], shape=shape, strides=(*stack, rows + cols, -rows))
 
 
 @dataclass(frozen=True)
@@ -179,23 +186,30 @@ class NormalizationField:
 
 def raw_moments(z: AnalyticSeries) -> LagTimeMoments:
     """Raw lag products ``z[t] * conj(z[t - tau])`` on the lag support."""
-    entries = np.zeros((2 * z.n - 1, z.n), dtype=complex)
+    return LagTimeMoments(_lag_products(z.samples), dt=z.dt)
+
+
+def _lag_products(z: np.ndarray) -> np.ndarray:
+    """The :func:`raw_moments` grid of each analytic record in a stack, shape ``(..., 2n-1, n)``."""
+    n = z.shape[-1]
+    entries = np.zeros((*z.shape[:-1], 2 * n - 1, n), dtype=complex)
     # an overflowing product is reported by LagTimeMoments as non-finite entries
     with np.errstate(over="ignore", invalid="ignore"):
-        lag_matrix(entries)[...] = np.outer(z.samples, z.samples.conj())
-    return LagTimeMoments(entries, dt=z.dt)
+        # z[t] * conj(z[s]), each record's np.outer(z, z.conj()) product
+        _lag_view(entries)[...] = z[..., :, None] * z.conj()[..., None, :]
+    return entries
 
 
 def _emaf_rows(rows: np.ndarray, dt: float) -> np.ndarray:
     """The :func:`emaf` coefficients of any stack of lag rows, each transformed on its own."""
-    n = rows.shape[1]
-    spectra = np.fft.fft(rows, n=2 * n, axis=1)
+    n = rows.shape[-1]
+    spectra = np.fft.fft(rows, n=2 * n, axis=-1)
     # fftshift and the dt scale in one pass: column k + n holds bin k mod 2n
     shifted = np.empty_like(spectra)
     # an overflowing coefficient is reported by AmbiguityGrid as a non-finite entry
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(dt, spectra[:, n:], out=shifted[:, :n])
-        np.multiply(dt, spectra[:, :n], out=shifted[:, n:])
+        np.multiply(dt, spectra[..., n:], out=shifted[..., :n])
+        np.multiply(dt, spectra[..., :n], out=shifted[..., n:])
     return shifted
 
 

@@ -321,13 +321,16 @@ def run_riskbench(
         raise ValueError(f"series length must be at least 8, got {n}")
     dt = check_dt(dt)
     _check_seed(seed)
-    truth = TheoreticalCovariance(_analytic_truth(spec.truth(n, dt).entries))
-    var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), seed)
-    ratios = np.empty(reps)
-    for rep in range(reps):
-        est = shrink(spec.sample(n, seed + rep, dt))
-        shrunk = correct(assemble(est.m_eb), correction)
-        ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
+    try:
+        truth = TheoreticalCovariance(_analytic_truth(spec.truth(n, dt).entries))
+        var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), seed)
+        ratios = np.empty(reps)
+        for rep in range(reps):
+            est = shrink(spec.sample(n, seed + rep, dt))
+            shrunk = correct(assemble(est.m_eb), correction)
+            ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
+    except ValueError as err:
+        return _fail(f"cannot run riskbench on {preset}: {err}")
     with open(out, "w") as fh:
         fh.write(f"# riskbench v1 preset={preset} n={n} reps={reps} seed={seed}\n")
         for rep, ratio in enumerate(ratios):
@@ -424,7 +427,11 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "simulate":
             _check_seed(args.seed)
-            x = _preset(args.preset).sample(args.n, args.seed, args.dt)
+            sample = _preset(args.preset).sample
+            try:
+                x = sample(args.n, args.seed, args.dt)
+            except ValueError as err:
+                return _fail(f"cannot simulate {args.preset}: {err}")
             write_signal(args.out or f"{args.preset}.sig", x)
             return 0
         if args.command == "analyze":

@@ -79,7 +79,12 @@ class AnalyticSeries(_Series):
 
 def demean(x: TimeSeries) -> TimeSeries:
     """Subtract the sample mean.  Idempotent up to rounding."""
-    return TimeSeries(x.samples - x.samples.mean(), dt=x.dt)
+    return TimeSeries(_demeaned(x.samples), dt=x.dt)
+
+
+def _demeaned(samples: np.ndarray) -> np.ndarray:
+    """The :func:`demean` of any stack of records, each row by its own mean."""
+    return samples - samples.mean(axis=-1, keepdims=True)
 
 
 def analytic_spectrum_weights(n: int) -> np.ndarray:
@@ -106,6 +111,10 @@ def analytic_signal(x: TimeSeries) -> AnalyticSeries:
     of :func:`analytic_spectrum_weights`.  The real part of the result
     equals the input samples to rounding accuracy.
     """
-    spectrum = np.fft.fft(x.samples)
-    z = np.fft.ifft(analytic_spectrum_weights(x.n) * spectrum)
-    return AnalyticSeries(z, dt=x.dt)
+    return AnalyticSeries(_analytic_rows(x.samples), dt=x.dt)
+
+
+def _analytic_rows(samples: np.ndarray) -> np.ndarray:
+    """The :func:`analytic_signal` samples of any stack of records, each transformed on its own."""
+    spectrum = np.fft.fft(samples, axis=-1)
+    return np.fft.ifft(analytic_spectrum_weights(samples.shape[-1]) * spectrum, axis=-1)

@@ -27,13 +27,13 @@ from .ambiguity import (
     NormalizationField,
     _emaf_rows,
     _kappa,
+    _lag_products,
     _normalized,
     _off_support,
     check_delta,
-    raw_moments,
 )
 from .covariance import _inverted_rows
-from .series import TimeSeries, analytic_signal, check_dt, demean
+from .series import TimeSeries, _analytic_rows, _demeaned, check_dt
 
 __all__ = [
     "ShrinkageParams",
@@ -628,33 +628,51 @@ def _hermitian_moments(live: np.ndarray, rows: np.ndarray, dt: float) -> LagTime
     return LagTimeMoments(buffer[: 2 * n - 1], dt=dt)
 
 
-def _fitted_rows(
-    x: TimeSeries, delta: float, count: int
-) -> tuple[LagTimeMoments, np.ndarray, np.ndarray, ShrinkageParams, bool]:
-    """The :func:`shrink` stages up to the fit, with the EMAF on the lag rows ``tau < count`` only.
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, once they pass the finiteness check of the stage that makes their ``what``."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} contain NaN or infinity")
+    return values
 
-    Returns ``m_raw``, the raw and the normalized EMAF rows ``tau = 0 ..
-    count - 1``, the fitted parameters and whether the fit converged.
-    ``count`` must be at least ``n // 2 + 1``, so the rows hold every cell
-    :func:`fit` takes; each row is transformed on its own, so the rows, and
-    the fit, are those of any larger ``count``.
+
+def _fitted_rows(
+    samples: np.ndarray, dt: float, delta: float, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[ShrinkageParams, bool]]]:
+    """The :func:`shrink` stages up to the fit, on a stack of records and the lag rows ``tau < count``.
+
+    ``samples`` holds one record of ``n`` samples per row, all sampled at
+    ``dt``.  Returns the raw moment grids, ``(R, 2n-1, n)``; the raw and
+    the normalized EMAF rows ``tau = 0 .. count - 1`` of each record,
+    ``(R, count, 2n)``; and each record's fitted parameters with whether
+    its fit converged.  Demean, analytic signal, lag products, EMAF and
+    normalization each run once over the whole stack, and the field is
+    built once per call; only the fits run record by record.  Every row is
+    transformed on its own, so a record's rows, and its fit, are the same
+    in any stack, and the same for any ``count`` of at least ``n // 2 +
+    1``, which holds every cell :func:`fit` takes.  Each check of the
+    one-record stages is made on the whole stack, with that stage's
+    message; the lag products vanish off their support by construction.
     """
-    if np.ptp(x.samples) == 0:
+    if np.any(np.ptp(samples, axis=-1) == 0):
         raise ValueError("a constant record has zero magnitudes: nothing to fit")
     delta = check_delta(delta)
-    m_raw = raw_moments(analytic_signal(demean(x)))
-    n, dt = m_raw.n, m_raw.dt
-    a_half = _emaf_rows(m_raw.entries[n - 1 : n - 1 + count], dt)
+    # checked as TimeSeries, AnalyticSeries and LagTimeMoments check them
+    z = _finite(_analytic_rows(_finite(_demeaned(samples), "samples")), "samples")
+    m_raw = _finite(_lag_products(z), "entries")
+    del z
+    n = samples.shape[-1]
+    a_half = _emaf_rows(m_raw[:, n - 1 : n - 1 + count], dt)
     kappa = NormalizationField(_kappa(n, dt, delta, np.arange(count)), delta).kappa
     a_norm = _normalized(a_half, kappa)
     del kappa
-    if not np.all(np.isfinite(a_norm)):  # as AmbiguityGrid checks emaf's and normalize's grids
-        raise ValueError("entries contain NaN or infinity")
-    try:
-        params, converged = _fit_magnitudes(*_half_cells(a_norm, n)), True
-    except FitConvergenceError as err:
-        params, converged = err.best, False
-    return m_raw, a_half, a_norm, params, converged
+    _finite(a_norm, "entries")  # as AmbiguityGrid checks emaf's and normalize's grids
+    fits = []
+    for rows in a_norm:
+        try:
+            fits.append((_fit_magnitudes(*_half_cells(rows, n)), True))
+        except FitConvergenceError as err:
+            fits.append((err.best, False))
+    return m_raw, a_half, a_norm, fits
 
 
 def shrink(x: TimeSeries, delta: float = 0.5) -> Shrunk:
@@ -672,8 +690,12 @@ def shrink(x: TimeSeries, delta: float = 0.5) -> Shrunk:
     raises ``ValueError``: demeaned it is zero, up to rounding residue that
     the fit must not take for structure.
     """
-    m_raw, a_half, a_norm, params, converged = _fitted_rows(x, delta, x.n)
-    n, dt = m_raw.n, m_raw.dt
+    # a stack of one record: each array's first axis has length 1
+    (m_raw,), (a_half,), (a_norm,), ((params, converged),) = _fitted_rows(
+        x.samples[None], x.dt, delta, x.n
+    )
+    n, dt = x.n, x.dt
+    m_raw = LagTimeMoments(m_raw, dt=dt)
     theta = _theta(params, np.abs(a_norm))
     theta[0, n] = 1.0
     del a_norm

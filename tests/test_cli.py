@@ -852,9 +852,18 @@ class TestFailureContract:
         "argv, fragment",
         [
             (["analyze", "--input", "tvchirp", "--n", "8", "--dt", "1e100"], "cannot analyze"),
-            (["riskbench", "tvchirp", "--n", "16", "--reps", "1", "--dt", "1e100"], "infinity"),
-            (["riskbench", "tvchirp", "--n", "16", "--reps", "1", "--dt", "1e300"], "infinity"),
-            (["simulate", "tvchirp", "--n", "16", "--dt", "1e308"], "infinity"),
+            (
+                ["riskbench", "tvchirp", "--n", "16", "--reps", "1", "--dt", "1e100"],
+                "error: cannot run riskbench on tvchirp: entries contain NaN or infinity",
+            ),
+            (
+                ["riskbench", "tvchirp", "--n", "16", "--reps", "1", "--dt", "1e300"],
+                "error: cannot run riskbench on tvchirp: entries contain NaN or infinity",
+            ),
+            (
+                ["simulate", "tvchirp", "--n", "16", "--dt", "1e308"],
+                "error: cannot simulate tvchirp: samples contain NaN or infinity",
+            ),
         ],
         ids=["analyze-1e100", "riskbench-1e100", "riskbench-truth-1e300", "simulate-1e308"],
     )

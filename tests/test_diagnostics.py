@@ -253,10 +253,15 @@ class TestVarianceReductionProbe:
         assert var_raw == float(np.var(vals))
 
     @pytest.mark.parametrize("seed", [0, 1000])
-    @pytest.mark.parametrize("n", [10, 16, 33, 64])
-    def test_equals_the_shrink_loop(self, n, seed):
+    @pytest.mark.parametrize(
+        "n, reps",
+        # blocks of 682 (n=8), 606 (9), 15 (64) and 3 (128) records; 137 is 9 blocks of 15 and 2
+        [(8, 100), (9, 100), (10, 100), (16, 100), (33, 100), (64, 100), (64, 137), (128, 100)],
+        ids=["8", "9", "10", "16", "33", "64", "64x137", "128"],
+    )
+    def test_equals_the_shrink_loop(self, n, reps, seed):
         # the probe as one full shrink per replicate; its tail runs on lag row 5 alone
-        reps, tau, t = 100, 5, max(n // 2, 5)
+        tau, t = 5, max(n // 2, 5)
         raw_vals = np.empty(reps, dtype=complex)
         eb_vals = np.empty(reps, dtype=complex)
         live_rows = 0
@@ -269,6 +274,25 @@ class TestVarianceReductionProbe:
         assert 0 < live_rows < reps
         expected = (float(np.var(eb_vals)), float(np.var(raw_vals)))
         assert variance_reduction_probe(n, reps, seed) == expected
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_peak_memory_of_a_block(self, n):
+        variance_reduction_probe(n, 100, 0)  # builds the per-length caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            variance_reduction_probe(n, 100, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        if n == 256:
+            # a block of one record: the probe record by record peaked at 3.21 grids, with the
+            # last record's moments and EMAF rows still live during the next one's head
+            assert peak <= 3.2 * (2 * n - 1) * 2 * n * 16
+        else:
+            # a block of 15 records, whose EMAF rows fill at most 1 MiB: with its raw moments
+            # (2 MiB at most), its normalized rows and one FFT work array, 5 MiB
+            assert peak <= 5 * 2**20
 
     def test_rejects_too_few_replicates(self):
         with pytest.raises(ValueError, match="replicates"):
