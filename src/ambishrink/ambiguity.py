@@ -21,7 +21,7 @@ from functools import cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .series import AnalyticSeries, check_dt, check_n
+from .series import AnalyticSeries, _finite, check_dt, check_n
 
 __all__ = [
     "LagTimeMoments",
@@ -102,8 +102,7 @@ class LagTimeMoments:
         if rows != 2 * cols - 1:
             raise ValueError(f"expected shape (2n-1, n), got {entries.shape}")
         object.__setattr__(self, "n", check_n(cols))
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("entries contain NaN or infinity")
+        _finite(entries, "entries")
         object.__setattr__(self, "dt", check_dt(self.dt))
         if np.any(entries, where=_off_support(cols)):
             raise ValueError("entries must vanish outside the lag support")
@@ -145,9 +144,7 @@ class AmbiguityGrid:
         if cols % 2 != 0 or rows != cols - 1:
             raise ValueError(f"expected shape (2n-1, 2n), got {entries.shape}")
         object.__setattr__(self, "n", check_n(cols // 2))
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("entries contain NaN or infinity")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _finite(entries, "entries"))
         object.__setattr__(self, "dt", check_dt(self.dt))
         object.__setattr__(self, "delta", check_delta(self.delta))
 
@@ -203,11 +200,11 @@ def _lag_products(z: np.ndarray) -> np.ndarray:
 def _emaf_rows(rows: np.ndarray, dt: float) -> np.ndarray:
     """The :func:`emaf` coefficients of any stack of lag rows, each transformed on its own."""
     n = rows.shape[-1]
-    spectra = np.fft.fft(rows, n=2 * n, axis=-1)
-    # fftshift and the dt scale in one pass: column k + n holds bin k mod 2n
-    shifted = np.empty_like(spectra)
-    # an overflowing coefficient is reported by AmbiguityGrid as a non-finite entry
+    # a non-finite or overflowing coefficient is reported by AmbiguityGrid as a non-finite entry
     with np.errstate(over="ignore", invalid="ignore"):
+        spectra = np.fft.fft(rows, n=2 * n, axis=-1)
+        # fftshift and the dt scale in one pass: column k + n holds bin k mod 2n
+        shifted = np.empty_like(spectra)
         np.multiply(dt, spectra[..., n:], out=shifted[..., :n])
         np.multiply(dt, spectra[..., :n], out=shifted[..., n:])
     return shifted

@@ -223,17 +223,18 @@ def _write_estimate(
 
 
 def _write_summary(
-    outdir: Path, cfg: PipelineConfig, n: int, psi: tuple, estimate: tuple | None
+    outdir: Path, cfg: PipelineConfig, x: TimeSeries, psi: tuple, estimate: tuple | None
 ) -> None:
     """Write ``summary.txt``: the settings, the fit ``psi`` as in :func:`_write_fit`, the estimate.
 
+    ``n`` and ``dt`` are the record's, so a file's ``dt`` is its header's.
     ``estimate`` is ``(min_eig_before, min_eig_after, retained_fraction)``,
     or ``None`` when the fit did not converge and no estimate was written.
     """
     items = [
         ("input", cfg.input),
-        ("n", str(n)),
-        ("dt", _fmt_real(cfg.dt)),
+        ("n", str(x.n)),
+        ("dt", _fmt_real(x.dt)),
         ("delta", _fmt_real(cfg.delta)),
         ("alpha", _fmt_real(cfg.alpha)),
         ("correction", cfg.correction),
@@ -277,7 +278,7 @@ def run_analyze(cfg: PipelineConfig) -> int:
         _write_fit(outdir, grid, psi, [qq, qq])
         # moments, covariance and TFR are zero blocks of the grid's leading rows and columns
         _write_estimate(outdir, cfg, grid.real, grid, grid[:, :n], grid[:n, :n], 0.0, grid[:n])
-        _write_summary(outdir, cfg, n, psi, (0.0, 0.0, 0.0))
+        _write_summary(outdir, cfg, x, psi, (0.0, 0.0, 0.0))
         return 0
 
     try:
@@ -293,7 +294,7 @@ def run_analyze(cfg: PipelineConfig) -> int:
         del a_norm
         _write_fit(outdir, a_raw.entries, psi, qq)
         if not est.converged:
-            _write_summary(outdir, cfg, n, psi, None)
+            _write_summary(outdir, cfg, x, psi, None)
             print("error: mixture fit did not converge; best-so-far written", file=sys.stderr)
             return 3
         af_eb = apply_threshold(a_raw, est.theta).entries
@@ -307,7 +308,7 @@ def run_analyze(cfg: PipelineConfig) -> int:
     theta, mineig = est.theta.theta, cov.min_eigenvalue()
     _write_estimate(outdir, cfg, theta, af_eb, est.m_eb.entries, cov.entries, mineig, tfr)
     estimate = (cov_est.min_eigenvalue(), mineig, np.mean(theta > 0))
-    _write_summary(outdir, cfg, n, psi, estimate)
+    _write_summary(outdir, cfg, x, psi, estimate)
     return 0
 
 

@@ -21,6 +21,7 @@ import scipy
 from scipy.linalg import eigh
 
 from .ambiguity import AmbiguityGrid, LagTimeMoments, _off_support, lag_matrix
+from .series import _finite
 
 __all__ = ["CORRECTIONS", "HermitianCovariance", "invert_af", "assemble", "correct"]
 
@@ -83,8 +84,7 @@ class HermitianCovariance:
         entries = np.asarray(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("entries contain NaN or infinity")
+        _finite(entries, "entries")
         if np.max(np.abs(entries - entries.conj().T)) > 1e-10 * np.max(np.abs(entries)):
             raise ValueError("entries are not Hermitian")
         object.__setattr__(self, "entries", entries)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .ambiguity import AmbiguityGrid, _off_support
-from .covariance import HermitianCovariance, _inverted_rows
+from .ambiguity import AmbiguityGrid
+from .covariance import HermitianCovariance
 from .procgen import TheoreticalCovariance, gen_white_noise
-from .shrinkage import _attenuate, _fitted_rows, _theta
+from .shrinkage import _shrunk_rows
 
 __all__ = [
     "QQ_POINTS",
@@ -163,17 +163,15 @@ def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float
     moment at lag 5 and time ``max(n // 2, 5)``, which lies on that lag's
     support for every ``n >= 8``, from the raw lag products and from the
     :func:`~ambishrink.shrinkage.shrink` estimate.  Only what that entry
-    needs is computed: the stages up to the fit, whose block covers
-    ``n // 2 + 1`` lag rows, and the threshold and inversion of lag row 5
-    alone, which give the entry bit for bit as ``shrink`` does.
+    needs is computed: the chain ``shrink`` runs, thresholded and inverted
+    on lag row 5 alone, which gives the entry bit for bit as ``shrink``
+    does.
 
-    The replicates run in blocks.  Each block is one stack of records for
-    the head that ``shrink`` also runs, then a threshold of lag row 5 per
-    record, with that record's fit, and one inversion of the block's
-    attenuated rows.  A block holds as many records as fit their EMAF rows
-    in 1 MiB, and at least one: 15 at ``n = 64``, 3 at ``n = 128``, and one
-    from ``n = 181`` up, where the probe runs record by record.  Every row
-    is transformed on its own, so the block size moves no bit.  A replicate
+    The replicates run in blocks, each one stack of records for that chain.
+    A block holds as many records as fit their raw lag products in 2 MiB,
+    and at least one: 16 at ``n = 64``, 4 at ``n = 128``, and one from
+    ``n = 182`` up, where the probe runs record by record.  Every row is
+    transformed on its own, so the block size moves no bit.  A replicate
     whose fit exhausts its search budget still contributes its best
     parameters, so long runs do not abort on one stubborn draw.  Returns
     ``(var_eb, var_raw)`` over the replicates.
@@ -183,20 +181,15 @@ def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float
     if n < 8:
         raise ValueError(f"series length must be at least 8, got {n}")
     tau, t, dt = 5, max(n // 2, 5), 1.0
-    count = max(n // 2 + 1, tau + 1)
-    block = max(1, 2**20 // (count * 2 * n * np.dtype(complex).itemsize))
-    off = _off_support(n)[n - 1 + tau]
+    block = max(1, 2**21 // ((2 * n - 1) * n * np.dtype(complex).itemsize))
     raw_vals = np.empty(reps, dtype=complex)
     eb_vals = np.zeros(reps, dtype=complex)
     for start in range(0, reps, block):
         seeds = range(seed + start, seed + min(start + block, reps))
         samples = np.stack([gen_white_noise(n, seed=s, dt=dt).samples for s in seeds])
-        m_raw, a_half, a_norm, fits = _fitted_rows(samples, dt, 0.5, count)
+        m_raw, _, _, live, rows = _shrunk_rows(samples, dt, 0.5, slice(tau, tau + 1))
         raw_vals[start : start + len(seeds)] = m_raw[:, tau + n - 1, t]
-        # row tau never holds the origin, so theta needs no override there
-        theta = [_theta(p, np.abs(rows[tau : tau + 1])) for (p, _), rows in zip(fits, a_norm)]
-        kept = _attenuate(a_half[:, tau], np.concatenate(theta))
-        del m_raw, a_half, a_norm, theta  # freed before the next block's head
-        live, rows = _inverted_rows(kept, dt, np.broadcast_to(off, (len(kept), n)))
+        del m_raw  # freed before the next block's head
+        # one lag row per record: live indexes the records whose row kept a cell
         eb_vals[start + live] = rows[:, t]
     return float(np.var(eb_vals)), float(np.var(raw_vals))

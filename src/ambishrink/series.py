@@ -28,6 +28,13 @@ def check_dt(dt: float) -> float:
     return float(dt)
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, once they pass the finiteness check whose message names them ``what``."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} contain NaN or infinity")
+    return values
+
+
 def check_n(n: int) -> int:
     """The record length as an int: at least two samples."""
     n = int(n)
@@ -53,9 +60,7 @@ class _Series:
         if samples.ndim != 1:
             raise ValueError(f"samples must be one-dimensional, got shape {samples.shape}")
         object.__setattr__(self, "n", check_n(samples.size))
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples contain NaN or infinity")
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", _finite(samples, "samples"))
         object.__setattr__(self, "dt", check_dt(self.dt))
 
     def times(self) -> np.ndarray:

@@ -33,7 +33,7 @@ from .ambiguity import (
     check_delta,
 )
 from .covariance import _inverted_rows
-from .series import TimeSeries, _analytic_rows, _demeaned, check_dt
+from .series import TimeSeries, _analytic_rows, _demeaned, _finite, check_dt
 
 __all__ = [
     "ShrinkageParams",
@@ -189,18 +189,16 @@ _MIRROR_RTOL = 1e-10
 
 
 @cache
-def _block_rows(n: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only weight and cell count of each row :func:`_fit_cells` returns, on ``half`` or all rows.
+def _block_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weight and cell count of each row ``tau = 0 .. n // 2`` that :func:`_half_cells` returns.
 
     Only these ``O(n)`` arrays are cached: a cached weight per cell raised
     the peak RSS of an n=512 estimate by 5 MB.
     """
     h = n // 2
-    taus = np.arange(0 if half else -h, h + 1)
-    weights = (n - np.abs(taus)) / (2.0 * n)
-    if half:
-        weights = 2.0 * weights
-    counts = np.where(taus == 0, h if half else 2 * h, 2 * h + 1)
+    taus = np.arange(h + 1)
+    weights = (n - taus) / n
+    counts = np.where(taus == 0, h, 2 * h + 1)
     weights.flags.writeable = counts.flags.writeable = False
     return weights, counts
 
@@ -234,14 +232,15 @@ def _fit_cells(a: AmbiguityGrid) -> tuple[np.ndarray, np.ndarray]:
     before = np.abs(a.entries[n - 1 - h : n, n - h : n + h + 1]).ravel()[: -(h + 1)]
     if np.allclose(after, before[::-1], rtol=_MIRROR_RTOL, atol=0.0):
         return after, weights
-    return np.concatenate([before, after]), np.repeat(*_block_rows(n, False))
+    # the rows before the origin weigh what their mirrors after it do, each cell once
+    return np.concatenate([before, after]), np.concatenate([weights[::-1], weights]) / 2
 
 
 def _half_cells(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The cells of :func:`_fit_cells` after the origin, from the lag rows ``tau >= 0`` alone."""
     h = n // 2
     cells = np.abs(rows[: h + 1, n - h : n + h + 1]).ravel()[h + 1 :]
-    return cells, np.repeat(*_block_rows(n, True))
+    return cells, np.repeat(*_block_rows(n))
 
 
 # Trust-region steps the search may take: 4-13 on records of 64 samples or more, and up to
@@ -535,21 +534,20 @@ def threshold_field(params: ShrinkageParams, a: AmbiguityGrid) -> ThresholdField
 
 
 def _theta(params: ShrinkageParams, q: np.ndarray) -> np.ndarray:
-    """The :func:`threshold_field` rule on the magnitudes ``q`` of any rows, bar the origin."""
+    """The :func:`threshold_field` rule on the magnitudes ``q`` of any rows, bar the origin, written over ``q``."""
     vbar, sigma2 = params.vbar, params.sigma2
     d = _posterior_log_odds(params, q)
     # rho_post > 1/2, which keeping needs, holds only where the log-odds are positive
     rows, cols = np.nonzero(d > 0)
     qc, rho_post = q[rows, cols], expit(d[rows, cols])
-    del d  # freed before theta is allocated: holding it raised peak RSS by 12 MB at n=512
     lam = sigma2 / (sigma2 + vbar)
     eta = ndtr(-np.sqrt(2.0 * lam) * qc / np.sqrt(vbar))
     keep = (rho_post * (1.0 - eta) > 0.5) & (qc > 0)
     qk = qc[keep]
     qmed = lam * qk + np.sqrt(lam * vbar / 2.0) * ndtri(1.0 - 1.0 / (2.0 * rho_post[keep]))
-    theta = np.zeros_like(q)
-    theta[rows[keep], cols[keep]] = np.clip(qmed / qk, 0.0, 1.0)
-    return theta
+    q.fill(0.0)
+    q[rows[keep], cols[keep]] = np.clip(qmed / qk, 0.0, 1.0)
+    return q
 
 
 def apply_threshold(a: AmbiguityGrid, t: ThresholdField) -> AmbiguityGrid:
@@ -628,78 +626,78 @@ def _hermitian_moments(live: np.ndarray, rows: np.ndarray, dt: float) -> LagTime
     return LagTimeMoments(buffer[: 2 * n - 1], dt=dt)
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    """``values``, once they pass the finiteness check of the stage that makes their ``what``."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} contain NaN or infinity")
-    return values
-
-
-def _fitted_rows(
-    samples: np.ndarray, dt: float, delta: float, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[ShrinkageParams, bool]]]:
-    """The :func:`shrink` stages up to the fit, on a stack of records and the lag rows ``tau < count``.
+def _shrunk_rows(
+    samples: np.ndarray, dt: float, delta: float, rows: slice
+) -> tuple[np.ndarray, list[tuple[ShrinkageParams, bool]], np.ndarray, np.ndarray, np.ndarray]:
+    """The :func:`shrink` chain on a stack of records, thresholded and inverted on the lag rows ``rows``.
 
     ``samples`` holds one record of ``n`` samples per row, all sampled at
-    ``dt``.  Returns the raw moment grids, ``(R, 2n-1, n)``; the raw and
-    the normalized EMAF rows ``tau = 0 .. count - 1`` of each record,
-    ``(R, count, 2n)``; and each record's fitted parameters with whether
-    its fit converged.  Demean, analytic signal, lag products, EMAF and
-    normalization each run once over the whole stack, and the field is
-    built once per call; only the fits run record by record.  Every row is
-    transformed on its own, so a record's rows, and its fit, are the same
-    in any stack, and the same for any ``count`` of at least ``n // 2 +
-    1``, which holds every cell :func:`fit` takes.  Each check of the
-    one-record stages is made on the whole stack, with that stage's
-    message; the lag products vanish off their support by construction.
+    ``dt``; ``rows`` is a slice ``start:stop`` of the lag rows ``tau >= 0``.
+    Returns the raw moment grids, ``(R, 2n-1, n)``, each record's fitted
+    parameters with whether its fit converged, theta on ``rows``, and the
+    :func:`_inverted_rows` of the shrunk ``rows``, taken record by record.
+    The stages before the fit run once over the stack, on the lag rows
+    below the larger of ``stop`` and ``n // 2 + 1``, which hold every cell
+    :func:`fit` takes; each row is transformed on its own, so a record's
+    rows, fit and moments are the same in any stack and for any ``rows``.
+    Each check is the one-record stage's, on the whole stack.  A non-finite
+    lag product makes row ``tau = 0`` non-finite (``|z_t z_s| <= max(|z_t|^2,
+    |z_s|^2)``), so the check of the normalized rows covers the products.
     """
     if np.any(np.ptp(samples, axis=-1) == 0):
         raise ValueError("a constant record has zero magnitudes: nothing to fit")
     delta = check_delta(delta)
-    # checked as TimeSeries, AnalyticSeries and LagTimeMoments check them
+    # checked as TimeSeries and AnalyticSeries check them
     z = _finite(_analytic_rows(_finite(_demeaned(samples), "samples")), "samples")
-    m_raw = _finite(_lag_products(z), "entries")
+    m_raw = _lag_products(z)
     del z
     n = samples.shape[-1]
+    count = max(n // 2 + 1, rows.stop)
     a_half = _emaf_rows(m_raw[:, n - 1 : n - 1 + count], dt)
     kappa = NormalizationField(_kappa(n, dt, delta, np.arange(count)), delta).kappa
-    a_norm = _normalized(a_half, kappa)
+    # as AmbiguityGrid checks emaf's and normalize's grids
+    a_norm = _finite(_normalized(a_half, kappa), "entries")
     del kappa
-    _finite(a_norm, "entries")  # as AmbiguityGrid checks emaf's and normalize's grids
     fits = []
-    for rows in a_norm:
+    for record in a_norm:
         try:
-            fits.append((_fit_magnitudes(*_half_cells(rows, n)), True))
+            fits.append((_fit_magnitudes(*_half_cells(record, n)), True))
         except FitConvergenceError as err:
             fits.append((err.best, False))
-    return m_raw, a_half, a_norm, fits
+    # made after the fits: their per-cell buffers set the peak, and theta beside them raised it
+    theta = np.empty((len(samples), rows.stop - rows.start, 2 * n))
+    for (params, _), record, out in zip(fits, a_norm, theta):
+        _theta(params, np.abs(record[rows], out=out))
+    del a_norm
+    if rows.start == 0:
+        theta[:, 0, n] = 1.0  # the origin carries the record's energy and is never shrunk
+    kept = _attenuate(a_half[:, rows], theta)
+    del a_half
+    off = np.broadcast_to(_off_support(n)[n - 1 :][rows], (*theta.shape[:2], n))
+    live, moments = _inverted_rows(kept.reshape(-1, 2 * n), dt, off.reshape(-1, n))
+    return m_raw, fits, theta, live, moments
 
 
 def shrink(x: TimeSeries, delta: float = 0.5) -> Shrunk:
     """Demean, analytic signal, lag products, EMAF, normalize, fit, threshold, invert.
 
     A record's lag products are Hermitian, so every stage after them runs on
-    the lag rows ``tau >= 0`` alone, through the cores of the stage
-    functions, which treat each row on its own: these rows, and the cells
-    :func:`fit` takes, are the full-grid chain's.  The rows ``tau < 0`` of
-    theta and of the shrunk moments are exact mirrors (:func:`_point_mirror`,
-    :func:`_hermitian_moments`).
+    the lag rows ``tau >= 0`` alone (:func:`_shrunk_rows`), through the
+    cores of the stage functions, which treat each row on its own: these
+    rows, and the cells :func:`fit` takes, are the full-grid chain's.  The
+    rows ``tau < 0`` of theta and of the shrunk moments are exact mirrors
+    (:func:`_point_mirror`, :func:`_hermitian_moments`).
 
     A fit that exhausts its budget does not raise: its best parameters are
     used and ``converged`` is False.  A record whose samples are all equal
     raises ``ValueError``: demeaned it is zero, up to rounding residue that
     the fit must not take for structure.
     """
-    # a stack of one record: each array's first axis has length 1
-    (m_raw,), (a_half,), (a_norm,), ((params, converged),) = _fitted_rows(
-        x.samples[None], x.dt, delta, x.n
-    )
     n, dt = x.n, x.dt
-    m_raw = LagTimeMoments(m_raw, dt=dt)
-    theta = _theta(params, np.abs(a_norm))
-    theta[0, n] = 1.0
-    del a_norm
-    live, rows = _inverted_rows(_attenuate(a_half, theta), dt, _off_support(n)[n - 1 :])
-    del a_half
+    # a stack of one record: m_raw, the fits and theta have a first axis of length 1
+    (m_raw,), ((params, converged),), (theta,), live, rows = _shrunk_rows(
+        x.samples[None], dt, delta, slice(0, n)
+    )
     theta = ThresholdField(_point_mirror(theta), dt=dt)
-    return Shrunk(m_raw, params, converged, theta, _hermitian_moments(live, rows, dt))
+    m_eb = _hermitian_moments(live, rows, dt)
+    return Shrunk(LagTimeMoments(m_raw, dt=dt), params, converged, theta, m_eb)

@@ -296,6 +296,15 @@ class TestAnalyze:
         assert summary["n"] == "24"
         assert summary["seed"] == "5"
 
+    @pytest.mark.parametrize("flag", [[], ["--dt", "7"]], ids=["default", "flag-7"])
+    def test_summary_records_the_dt_of_a_file_record(self, tmp_path, flag):
+        sig = tmp_path / "w.sig"
+        write_signal(sig, gen_white_noise(32, seed=0, dt=0.5))
+        outdir = tmp_path / "r"
+        assert main(["analyze", "--input", str(sig), "--outdir", str(outdir), *flag]) == 0
+        # the record is analysed at the dt of its header, so that is the dt its summary names
+        assert read_summary(outdir / "summary.txt")["dt"] == "0.5"
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("input=whitenoise\nwindowing=hann\n")

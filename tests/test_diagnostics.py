@@ -255,7 +255,7 @@ class TestVarianceReductionProbe:
     @pytest.mark.parametrize("seed", [0, 1000])
     @pytest.mark.parametrize(
         "n, reps",
-        # blocks of 682 (n=8), 606 (9), 15 (64) and 3 (128) records; 137 is 9 blocks of 15 and 2
+        # blocks of 1092 (n=8), 856 (9), 16 (64) and 4 (128) records; 137 is 8 blocks of 16 and 9
         [(8, 100), (9, 100), (10, 100), (16, 100), (33, 100), (64, 100), (64, 137), (128, 100)],
         ids=["8", "9", "10", "16", "33", "64", "64x137", "128"],
     )
@@ -290,8 +290,8 @@ class TestVarianceReductionProbe:
             # last record's moments and EMAF rows still live during the next one's head
             assert peak <= 3.2 * (2 * n - 1) * 2 * n * 16
         else:
-            # a block of 15 records, whose EMAF rows fill at most 1 MiB: with its raw moments
-            # (2 MiB at most), its normalized rows and one FFT work array, 5 MiB
+            # a block of 16 records, whose raw moments fill at most 2 MiB: with its EMAF rows
+            # (about 1 MiB), its normalized rows and one FFT work array, 5 MiB
             assert peak <= 5 * 2**20
 
     def test_rejects_too_few_replicates(self):

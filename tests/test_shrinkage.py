@@ -331,7 +331,7 @@ class TestFit:
         q, w = shrinkage_module._fit_cells(a)
         np.testing.assert_array_equal(q, np.abs(a.entries)[mask])
         np.testing.assert_array_equal(w, weights[mask])
-        for cached in shrinkage_module._block_rows(n, True) + shrinkage_module._block_rows(n, False):
+        for cached in shrinkage_module._block_rows(n):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0
 
@@ -820,6 +820,28 @@ class TestHalfGridShrink:
             assert np.all(gap <= 1e-15 * np.max(np.abs(af)))
             assert np.all(af[n - 2 :: -1][~kept].view(np.uint64) == 0)
             assert np.max(np.abs(af - af_chain)) <= 1e-12 * np.max(np.abs(af_chain))
+
+
+class TestShrunkRows:
+    @pytest.mark.parametrize("n", [9, 64])
+    def test_any_rows_give_the_same_row_bit_for_bit(self, n):
+        # the variance probe thresholds and inverts lag row 5 alone and equals shrink through this
+        presets = [cli._PRESETS[p] for p in cli.PRESETS]
+        samples = np.stack([p.sample(n, seed, 1.0).samples for p in presets for seed in range(3)])
+        records, results = len(samples), []
+        for rows in (slice(0, n), slice(5, 6)):
+            m_raw, fits, theta, live, moments = shrinkage_module._shrunk_rows(samples, 1.0, 0.5, rows)
+            dense = np.zeros((records * (rows.stop - rows.start), n), dtype=complex)
+            dense[live] = moments
+            tau = 5 - rows.start
+            results.append((m_raw, fits, theta[:, tau], dense.reshape(records, -1, n)[:, tau]))
+        (m_all, fits_all, theta_all, row_all), (m_one, fits_one, theta_one, row_one) = results
+        np.testing.assert_array_equal(m_all.view(np.uint64), m_one.view(np.uint64))
+        assert fits_all == fits_one
+        np.testing.assert_array_equal(theta_all.view(np.uint64), theta_one.view(np.uint64))
+        np.testing.assert_array_equal(row_all.view(np.uint64), row_one.view(np.uint64))
+        # both a row with a kept cell and a row with none are compared
+        assert 0 < np.count_nonzero(np.any(theta_one > 0, axis=1)) < records
 
 
 class TestShrinkMemory:
