@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn, get_type_hints
 
@@ -104,17 +104,23 @@ def _fail(message: str) -> int:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Validated bundle of every knob the analyze pipeline accepts."""
+    """Validated bundle of every knob the analyze pipeline accepts.
 
-    input: str
-    outdir: str
+    Each field is also ``analyze``'s ``--<name>`` flag and config key, parsed
+    by its type; its ``metadata`` holds the flag's ``help`` and ``choices``.
+    """
+
+    input: str = field(metadata={"help": "signal file or preset name"})
+    outdir: str = field(default="analysis", metadata={"help": "artifact directory (default analysis)"})
     dt: float = 1.0
-    delta: float = 0.5
-    correction: str = "clip"
-    alpha: float = 0.5
-    kernel: str = "delta"
-    seed: int = 0
-    n: int = 512
+    delta: float = field(default=0.5, metadata={"help": "normalization exponent"})
+    correction: str = field(default="clip", metadata={"choices": CORRECTIONS})
+    alpha: float = field(default=0.5, metadata={"help": "surface re-centering"})
+    kernel: str = field(
+        default="delta", metadata={"help": "delta, <kind>:<length>, or hermite:<length>:<order>"}
+    )
+    seed: int = field(default=0, metadata={"help": "seed when input is a preset"})
+    n: int = field(default=512, metadata={"help": "length when input is a preset"})
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dt", check_dt(self.dt))
@@ -355,7 +361,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-# Field name -> type, which also parses the field's config-file value.
+# Field name -> type, which parses the field's flag and its config-file value.
 _ANALYZE_FIELDS: dict[str, type] = get_type_hints(PipelineConfig)
 
 
@@ -375,7 +381,6 @@ def _analyze_config(args: argparse.Namespace) -> PipelineConfig:
             merged[key] = flag_value
     if "input" not in merged:
         raise ValueError("analyze needs --input (flag or config file)")
-    merged.setdefault("outdir", "analysis")
     return PipelineConfig(**merged)  # type: ignore[arg-type]
 
 
@@ -392,31 +397,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="write a sample path of a benchmark process")
-    sim.add_argument("preset", help=f"one of: {', '.join(PRESETS)}")
-    sim.add_argument("--n", type=int, default=512, help="series length (default 512)")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--dt", type=float, default=1.0)
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("preset", help=f"one of: {', '.join(PRESETS)}")
+    sampling.add_argument("--n", type=int, default=512, help="series length (default 512)")
+    sampling.add_argument("--seed", type=int, default=0)
+    sampling.add_argument("--dt", type=float, default=1.0)
+
+    sim = sub.add_parser("simulate", parents=[sampling], help="write a sample path of a benchmark process")
     sim.add_argument("--out", default=None, help="output path (default <preset>.sig)")
 
     ana = sub.add_parser("analyze", help="run the full pipeline and write artifacts")
-    ana.add_argument("--input", default=None, help="signal file or preset name")
-    ana.add_argument("--outdir", default=None, help="artifact directory (default analysis)")
-    ana.add_argument("--dt", type=float, default=None)
-    ana.add_argument("--delta", type=float, default=None, help="normalization exponent")
-    ana.add_argument("--correction", choices=CORRECTIONS, default=None)
-    ana.add_argument("--alpha", type=float, default=None, help="surface re-centering")
-    ana.add_argument("--kernel", default=None, help="delta, <kind>:<length>, or hermite:<length>:<order>")
-    ana.add_argument("--seed", type=int, default=None, help="seed when input is a preset")
-    ana.add_argument("--n", type=int, default=None, help="length when input is a preset")
+    for f in fields(PipelineConfig):
+        ana.add_argument(f"--{f.name}", type=_ANALYZE_FIELDS[f.name], default=None, **f.metadata)
     ana.add_argument("--config", default=None, help="key=value file; flags win on conflict")
 
-    rb = sub.add_parser("riskbench", help="Monte Carlo risk against the exact covariance")
-    rb.add_argument("preset", help=f"one of: {', '.join(PRESETS)}")
+    rb = sub.add_parser("riskbench", parents=[sampling], help="Monte Carlo risk against the exact covariance")
     rb.add_argument("--reps", type=int, required=True)
-    rb.add_argument("--n", type=int, default=512)
-    rb.add_argument("--seed", type=int, default=0)
-    rb.add_argument("--dt", type=float, default=1.0)
     rb.add_argument("--correction", choices=CORRECTIONS, default="clip")
     rb.add_argument("--out", default="riskbench.txt")
     return parser

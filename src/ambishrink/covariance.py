@@ -158,9 +158,11 @@ def correct(c: HermitianCovariance, method: str = "clip") -> HermitianCovariance
     together with the smallest eigenvalue: it asks for the eigenvalues up to
     the larger of zero and the smallest diagonal entry, plus a rounding
     margin, and the smallest eigenvalue lies at or below every diagonal
-    entry.  Either way
-    the result has eigenvalues bounded below by a rounding-level multiple
-    of the trace.
+    entry.  That value-range search fails on some matrices far below unit
+    size (LAPACK's "Internal Error"), so it runs on ``c`` divided by the
+    power of two that brings ``max|c|`` into ``[1/2, 1)``, which rounds
+    nothing.  Either way the result has eigenvalues bounded below by a
+    rounding-level multiple of the trace.
     """
     if method not in CORRECTIONS:
         raise ValueError(f"method must be 'shift' or 'clip', got {method!r}")
@@ -168,11 +170,14 @@ def correct(c: HermitianCovariance, method: str = "clip") -> HermitianCovariance
         low = c.min_eigenvalue()
         entries = c.entries - low * np.eye(c.n) if low < 0 else c.entries
         return _known_min(HermitianCovariance(entries), max(low, 0.0))
+    big = float(np.max(np.abs(c.entries)))
     top = max(float(np.min(np.real(np.diag(c.entries)))), 0.0)
     # rounding margin: n eps times n max|c|, a bound on the spectral norm
-    top += c.n**2 * np.finfo(float).eps * float(np.max(np.abs(c.entries)))
+    top += c.n**2 * np.finfo(float).eps * big
+    scale = np.ldexp(1.0, np.frexp(big)[1])
     with _one_blas_thread():
-        lam, vecs = eigh(c.entries, subset_by_value=(-np.inf, top))
+        lam, vecs = eigh(c.entries / scale, subset_by_value=(-np.inf, top / scale))
+        lam *= scale
         neg = lam < 0
         entries = c.entries - (vecs[:, neg] * lam[neg]) @ vecs[:, neg].conj().T
     low = float(lam[0])

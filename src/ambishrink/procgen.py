@@ -217,11 +217,6 @@ def gen_white_noise(n: int, seed: int = 0, sigma: float = 1.0, dt: float = 1.0) 
     return TimeSeries(sigma * rng.standard_normal(n), dt=dt)
 
 
-def _ma_autocorr(weights: np.ndarray) -> np.ndarray:
-    """Two-sided autocorrelation ``sum_l w_l w_{l-d}`` for ``d = -L..L``."""
-    return np.convolve(weights, weights[::-1])
-
-
 def theoretical_covariance(
     p: ModulatedMAProcess | TimeVaryingFilterProcess | AggregationProcess, n: int
 ) -> TheoreticalCovariance:
@@ -230,7 +225,8 @@ def theoretical_covariance(
     if isinstance(p, ModulatedMAProcess):
         w = np.asarray(p.weights)
         lags = w.size - 1
-        acf = _ma_autocorr(w)  # index d + lags for d in [-lags, lags]
+        # two-sided autocorrelation sum_l w_l w_{l-d}, at index d + lags for d in [-lags, lags]
+        acf = np.convolve(w, w[::-1])
         col = np.zeros(n)
         col[: min(lags + 1, n)] = acf[lags : lags + min(lags + 1, n)]
         sigma = np.asarray(p.modulation(np.arange(n)), dtype=float)

@@ -140,22 +140,6 @@ def marginal_nll(params: ShrinkageParams, magnitudes: np.ndarray) -> float:
     return float(-np.sum(log_f))
 
 
-def _log_odds(
-    logit_rho: float, vbar: float, sigma2: float, qsq: float | np.ndarray
-) -> float | np.ndarray:
-    """Log posterior odds ``alpha + beta q^2`` that a coefficient carries signal.
-
-    With ``wide = vbar + sigma2``, ``alpha = logit(rho) + log(vbar) -
-    log(wide)`` and ``beta = 1 / vbar - 1 / wide``; the log mixture density
-    of :func:`_log_density_terms` is the background term plus ``softplus``
-    of these odds, and the posterior signal probability is their ``expit``.
-    ``1 / vbar`` overflows once ``vbar`` is subnormal, so callers pass the
-    scales and ``qsq`` in units of order one (see :func:`_posterior_log_odds`).
-    """
-    wide = vbar + sigma2
-    return logit_rho + np.log(vbar) - np.log(wide) + (1.0 / vbar - 1.0 / wide) * qsq
-
-
 def _expit_softplus(
     d: np.ndarray, out: tuple[np.ndarray, ...] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -274,10 +258,10 @@ def _mixture_objective(y: np.ndarray, w: np.ndarray):
 
     ``x = (log vbar, logit rho, log sigma2)`` in the units of ``y``; the
     value lacks ``-sum(w log(2 q))``, and for ``y = q^2 / s`` also ``sum(w)
-    log s``.  The log-odds ``d`` of :func:`_log_odds` are affine in ``y``,
-    and so are their partial derivatives in ``x``; so the weighted sums of
-    ``r = expit(d)`` times ``{1, y}`` and of ``r (1 - r)`` times ``{1, y,
-    y^2}`` give the exact gradient and Hessian.  One ``exp`` per cell (see
+    log s``.  The log-odds ``d`` of :func:`_posterior_log_odds` are affine
+    in ``y``, and so are their partial derivatives in ``x``; so the weighted
+    sums of ``r = expit(d)`` times ``{1, y}`` and of ``r (1 - r)`` times
+    ``{1, y, y^2}`` give the exact gradient and Hessian.  One ``exp`` per cell (see
     :func:`_expit_softplus`), and one reduction: the six weighted products
     are written into one buffer and summed row by row, which gives each sum
     bit for bit as ``np.sum`` of that product alone.
@@ -304,7 +288,7 @@ def _mixture_objective(y: np.ndarray, w: np.ndarray):
         sigma2 = math.exp(min(max(x2, -700.0), 700.0))
         wide = vbar + sigma2
         log_vbar = math.log(vbar)
-        # d = alpha + beta y, as _log_odds(x1, vbar, sigma2, y) takes it
+        # d = alpha + beta y, the log-odds of _posterior_log_odds in the units of y
         np.multiply(y, 1.0 / vbar - 1.0 / wide, out=d)
         np.add(d, x1 + log_vbar - math.log(wide), out=d)
         _expit_softplus(d, kernel)
@@ -500,9 +484,18 @@ def _fit_magnitudes(q: np.ndarray, w: np.ndarray) -> ShrinkageParams:
 
 
 def _posterior_log_odds(params: ShrinkageParams, q: np.ndarray) -> np.ndarray:
-    """:func:`_log_odds` of magnitudes ``q``, evaluated in units of ``vbar``."""
+    """Log posterior odds ``alpha + beta q^2`` that magnitudes ``q`` carry signal.
+
+    With ``wide = vbar + sigma2``, ``alpha = logit(rho) + log(vbar) -
+    log(wide)`` and ``beta = 1 / vbar - 1 / wide``; the log mixture density
+    of :func:`_log_density_terms` is the background term plus ``softplus``
+    of these odds, and the posterior signal probability is their ``expit``.
+    ``1 / vbar`` overflows once ``vbar`` is subnormal, so the odds are
+    evaluated in units of ``vbar``, where ``vbar`` is 1.
+    """
     qsq = (q / np.sqrt(params.vbar)) ** 2
-    return _log_odds(logit(params.rho), 1.0, params.sigma2 / params.vbar, qsq)
+    wide = 1.0 + params.sigma2 / params.vbar
+    return logit(params.rho) - np.log(wide) + (1.0 - 1.0 / wide) * qsq
 
 
 def posterior_rho(params: ShrinkageParams, qhat: float | np.ndarray) -> float | np.ndarray:

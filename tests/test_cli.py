@@ -713,6 +713,13 @@ class TestAmplitudeRange:
         write_signal(sig, TimeSeries(scale * record))
         assert main(["analyze", "--input", str(sig), "--outdir", str(tmp_path / "r")]) == 0
 
+    def test_record_below_unit_amplitude_writes_every_artifact(self, tmp_path):
+        # its shrunk covariance made clip's value-range eigensolver fail unless rescaled
+        sig, outdir = tmp_path / "x.sig", tmp_path / "r"
+        write_signal(sig, TimeSeries(1e-3 * gen_white_noise(33, seed=4).samples))
+        assert main(["analyze", "--input", str(sig), "--outdir", str(outdir)]) == 0
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(ARTIFACTS)
+
     def test_overflowing_record_exits_2_with_one_line(self, tmp_path, capsys, record):
         sig = tmp_path / "x.sig"
         write_signal(sig, TimeSeries(1e80 * record))

@@ -21,7 +21,10 @@ from ambishrink.diagnostics import risk_report
 from ambishrink.procgen import (
     AggregationProcess,
     TheoreticalCovariance,
+    cyclostationary_process,
     gen_aggregation,
+    gen_modulated_ma,
+    gen_white_noise,
     theoretical_covariance,
 )
 from ambishrink.series import AnalyticSeries, TimeSeries
@@ -362,6 +365,29 @@ class TestCorrect:
         for seed in range(5):
             out = correct(random_hermitian(10, 40 + seed), "clip")
             assert out.min_eigenvalue() >= -1e-8 * abs(out.trace())
+
+    @pytest.mark.parametrize("n", [24, 33, 64])
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda n, seed: gen_aggregation(n, seed=seed),
+            lambda n, seed: gen_white_noise(n, seed=seed),
+            lambda n, seed: gen_modulated_ma(cyclostationary_process(seed=seed), n),
+        ],
+        ids=["aggregation", "whitenoise", "ma-cyclo"],
+    )
+    def test_clip_commutes_with_scaling(self, sample, n):
+        # LAPACK's value-range eigensolver fails on some of these unless clip rescales first
+        for seed in range(10):
+            c = assemble(shrink(sample(n, seed)).m_eb)
+            ref = correct(c, "clip")
+            tol = 1e-13 * np.max(np.abs(c.entries))
+            for s in (1e-150, 1e-60, 1e-14, 1e-6, 1e-2, 1e6, 1e150):
+                scaled = HermitianCovariance(s * c.entries)
+                out = correct(scaled, "clip")
+                np.testing.assert_allclose(out.entries / s, ref.entries, rtol=0, atol=tol)
+                assert abs(scaled.min_eigenvalue() / s - c.min_eigenvalue()) <= tol
+                assert abs(out.min_eigenvalue() / s - ref.min_eigenvalue()) <= tol
 
 
 class TestOneBlasThread:
