@@ -46,7 +46,7 @@ from .procgen import (
     theoretical_covariance,
 )
 from .series import TimeSeries, analytic_spectrum_weights, check_dt, check_n
-from .shrinkage import apply_threshold, shrink
+from .shrinkage import shrink
 from .textio import _fmt_real, format_psi_record, read_signal, write_matrix, write_signal
 from .tfr import bilinear, check_alpha, window_bank
 
@@ -149,11 +149,11 @@ def _analytic_truth(real_cov: np.ndarray) -> np.ndarray:
     return (t + t.conj().T) / 2.0
 
 
-def _smoothing_kernel(spec: str, dt: float):
-    """Translate a kernel flag into a time-smoothing callable (``None`` for no smoothing).
+def _smoothing_kernel(spec: str) -> np.ndarray | None:
+    """Translate a kernel flag into the unit-mass time profile of :func:`bilinear` (``None``: none).
 
     ``delta`` means no smoothing.  ``<kind>:<length>`` squares the named
-    unit-energy window into a nonnegative unit-mass kernel;
+    unit-energy window into a nonnegative unit-mass profile;
     ``hermite:<length>:<order>`` averages the squared windows of the whole
     bank, a uniform multitaper combination (the choice of combination
     weights is not pinned down anywhere authoritative, so uniform it is).
@@ -173,17 +173,7 @@ def _smoothing_kernel(spec: str, dt: float):
         raise ValueError(f"kernel spec {spec!r} has a non-integer length or order") from None
     rows = np.atleast_2d(window_bank(kind, order, length))
     profile = np.mean(rows * rows, axis=0)
-    profile = profile / profile.sum()
-    half = (length - 1) // 2
-
-    def kern(tau: int, offsets: np.ndarray) -> np.ndarray:
-        idx = np.rint(offsets / dt).astype(int) + half
-        out = np.zeros(offsets.shape)
-        ok = (idx >= 0) & (idx < profile.size)
-        out[ok] = profile[idx[ok]] / dt
-        return out
-
-    return kern
+    return profile / profile.sum()
 
 
 def _write_fit(outdir: Path, emaf: np.ndarray, psi: tuple, qq: list[np.ndarray]) -> None:
@@ -214,12 +204,13 @@ def _write_estimate(
     theta > 0.  Each row is ``(tau, k, value)`` with ``tau``/``k`` as in
     :meth:`AmbiguityGrid.at`, in row-major grid order; every other cell is
     zero.  A trailing ``# dense shape=<rows>x<cols>`` line names the grid.
+    ``af_eb`` holds only the shrunk EMAF's values at those cells, in that order.
     """
     rows, cols = np.nonzero(theta > 0)
     n = theta.shape[1] // 2
     shape = [f"# dense shape={theta.shape[0]}x{theta.shape[1]}"]
-    for name, grid in (("theta.mat", theta), ("af_eb.mat", af_eb)):
-        table = np.column_stack([rows - (n - 1), cols - n, grid[rows, cols]])
+    for name, values in (("theta.mat", theta[rows, cols]), ("af_eb.mat", af_eb)):
+        table = np.column_stack([rows - (n - 1), cols - n, values])
         write_matrix(outdir / name, table, trailing=shape)
     write_matrix(outdir / "moments_eb.mat", moments)
     trailer = f"# correction={cfg.correction} mineig={_fmt_real(mineig)}"
@@ -229,11 +220,12 @@ def _write_estimate(
 
 
 def _write_summary(
-    outdir: Path, cfg: PipelineConfig, x: TimeSeries, psi: tuple, estimate: tuple | None
+    outdir: Path, cfg: PipelineConfig, x: TimeSeries, preset: bool, psi: tuple, estimate: tuple | None
 ) -> None:
     """Write ``summary.txt``: the settings, the fit ``psi`` as in :func:`_write_fit`, the estimate.
 
-    ``n`` and ``dt`` are the record's, so a file's ``dt`` is its header's.
+    ``n`` and ``dt`` are the record's, so a file's ``dt`` is its header's;
+    ``seed`` is named only when ``preset`` says the record was drawn from one.
     ``estimate`` is ``(min_eig_before, min_eig_after, retained_fraction)``,
     or ``None`` when the fit did not converge and no estimate was written.
     """
@@ -245,7 +237,7 @@ def _write_summary(
         ("alpha", _fmt_real(cfg.alpha)),
         ("correction", cfg.correction),
         ("kernel", cfg.kernel),
-        ("seed", str(cfg.seed)),
+        *([("seed", str(cfg.seed))] if preset else []),
         ("converged", "0" if estimate is None else "1"),
     ]
     items += zip(("vbar", "rho", "sigma2", "nll"), map(_fmt_real, psi[:4]))
@@ -260,7 +252,8 @@ def _write_summary(
 def run_analyze(cfg: PipelineConfig) -> int:
     """Estimate ``cfg.input`` into ``cfg.outdir``; any estimate stage's failure is one line."""
     path = Path(cfg.input)
-    if path.exists():
+    preset = not path.exists()
+    if not preset:
         try:
             x = read_signal(path)
         except (OSError, ValueError) as err:
@@ -269,7 +262,7 @@ def run_analyze(cfg: PipelineConfig) -> int:
         x = _PRESETS[cfg.input].sample(cfg.n, cfg.seed, cfg.dt)
     else:
         return _fail(f"input {cfg.input!r} is neither a file nor a preset")
-    kernel = _smoothing_kernel(cfg.kernel, x.dt)
+    kernel = _smoothing_kernel(cfg.kernel)
     outdir = Path(cfg.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -282,9 +275,9 @@ def run_analyze(cfg: PipelineConfig) -> int:
         psi = (0.0, 0.0, 0.0, 0.0, 0)
         qq = np.zeros((qq_ranks(grid.size - 1).size, 2))
         _write_fit(outdir, grid, psi, [qq, qq])
-        # moments, covariance and TFR are zero blocks of the grid's leading rows and columns
-        _write_estimate(outdir, cfg, grid.real, grid, grid[:, :n], grid[:n, :n], 0.0, grid[:n])
-        _write_summary(outdir, cfg, x, psi, (0.0, 0.0, 0.0))
+        # theta keeps no cell; moments, covariance and TFR are zero blocks of the grid
+        _write_estimate(outdir, cfg, grid.real, grid[0, :0], grid[:, :n], grid[:n, :n], 0.0, grid[:n])
+        _write_summary(outdir, cfg, x, preset, psi, (0.0, 0.0, 0.0))
         return 0
 
     try:
@@ -300,10 +293,12 @@ def run_analyze(cfg: PipelineConfig) -> int:
         del a_norm
         _write_fit(outdir, a_raw.entries, psi, qq)
         if not est.converged:
-            _write_summary(outdir, cfg, x, psi, None)
+            _write_summary(outdir, cfg, x, preset, psi, None)
             print("error: mixture fit did not converge; best-so-far written", file=sys.stderr)
             return 3
-        af_eb = apply_threshold(a_raw, est.theta).entries
+        theta = est.theta.theta
+        kept = np.nonzero(theta > 0)
+        af_eb = a_raw.entries[kept] * theta[kept]  # apply_threshold(a_raw, theta) at its kept cells
         del a_raw  # freed before the covariance and the TFR are built
         cov_est = assemble(est.m_eb)
         cov = correct(cov_est, cfg.correction)
@@ -311,10 +306,10 @@ def run_analyze(cfg: PipelineConfig) -> int:
     except ValueError as err:
         return _fail(f"cannot analyze {cfg.input}: {err}")
 
-    theta, mineig = est.theta.theta, cov.min_eigenvalue()
+    mineig = cov.min_eigenvalue()
     _write_estimate(outdir, cfg, theta, af_eb, est.m_eb.entries, cov.entries, mineig, tfr)
     estimate = (cov_est.min_eigenvalue(), mineig, np.mean(theta > 0))
-    _write_summary(outdir, cfg, x, psi, estimate)
+    _write_summary(outdir, cfg, x, preset, psi, estimate)
     return 0
 
 

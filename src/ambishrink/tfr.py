@@ -2,17 +2,18 @@
 
 A moment grid (raw, shrunk, or exact) is turned into a surface over time
 and frequency by Fourier transforming the lag axis, optionally after
-smoothing in time and re-centering the moment argument.  The ``alpha``
-parameter selects the member of the bilinear family: ``alpha = 1/2``
-evaluates moments exactly on the sample grid (Rihaczek), ``alpha = 0``
-needs the moment at half-integer times (Wigner) and interpolates linearly.
+smoothing in time and re-centering the moment argument, as ``dt sum_tau
+sum_j p_j M_tau(...) exp(...)`` for one time profile ``p`` of per-sample
+weights (:func:`bilinear`).  The ``alpha`` parameter selects the member of
+the bilinear family: ``alpha = 1/2`` evaluates moments exactly on the
+sample grid (Rihaczek), ``alpha = 0`` needs the moment at half-integer
+times (Wigner) and interpolates linearly.
 Spectrograms are provided on the same frequency grid for comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -27,8 +28,6 @@ __all__ = [
     "window_bank",
     "check_alpha",
 ]
-
-TimeKernel = Callable[[int, np.ndarray], np.ndarray]
 
 
 def check_alpha(alpha: float) -> float:
@@ -111,35 +110,32 @@ def _interpolated_moment_rows(m: LagTimeMoments, alpha: float) -> np.ndarray:
     return (1.0 - frac) * value_at(lo) + frac * value_at(lo + 1)
 
 
-def bilinear(m: LagTimeMoments, alpha: float = 0.5, kernel: TimeKernel | None = None) -> TFRGrid:
+def bilinear(m: LagTimeMoments, alpha: float = 0.5, kernel: np.ndarray | None = None) -> TFRGrid:
     """Bilinear surface of the moment grid at re-centering ``alpha``.
 
-    Computes ``S(t_n, f_j) = dt^2 sum_tau sum_k w_tau((k - n) dt)
-    M_tau((k + (1/2 - alpha) tau) dt) exp(-2 pi i tau f_j dt)`` where the
-    default kernel is the discrete delta of height ``1/dt`` at offset zero,
-    i.e. no time smoothing.  A custom kernel is a callable mapping
-    ``(tau, offsets)`` to one weight per time offset.
+    Computes ``S(t dt, f) = dt sum_tau sum_j p_j M_tau(t + j - c + (1/2 -
+    alpha) tau) exp(-2 pi i tau f dt)``, times counted in samples and
+    moments off the record zero.  ``kernel`` is one profile ``p`` of
+    dimensionless per-sample weights, centred on ``c = (len(p) - 1) // 2``,
+    that smooths every lag row alike in time; ``None`` is ``[1]``, no
+    smoothing, and leaves the rows as they are.  The smoothing is one FFT
+    convolution along time, less the taps that cannot reach the record.
     """
     alpha = check_alpha(alpha)
     n = m.n
-    recentred = _interpolated_moment_rows(m, alpha)
-    if kernel is None:
-        smoothed = recentred
-        factor = m.dt
-    else:
-        offsets = np.arange(-(n - 1), n) * m.dt
-        smoothed = np.empty_like(recentred)
-        for i, tau in enumerate(range(-(n - 1), n)):
-            weights = np.asarray(kernel(tau, offsets), dtype=float)
-            if weights.shape != offsets.shape:
-                raise ValueError(
-                    f"kernel returned {weights.shape} weights for {offsets.size} offsets"
-                )
-            # one dt of the dt^2 factor scales the weights, so dt^2 is never formed to overflow
-            full = np.convolve(recentred[i], m.dt * weights[::-1])
-            smoothed[i] = full[n - 1 : 2 * n - 1]
-        factor = m.dt
-    values = factor * _lag_axis_transform(smoothed, n).T
+    rows = _interpolated_moment_rows(m, alpha)
+    if kernel is not None:
+        p = np.asarray([] if callable(kernel) else kernel, dtype=float)
+        if p.ndim != 1 or p.size == 0 or not np.all(np.isfinite(p)):
+            raise ValueError("kernel must be a non-empty 1-d array of finite weights")
+        c = (p.size - 1) // 2
+        p = p[max(0, c - n + 1) : c + n]  # only offsets -(n-1) .. n-1 reach the record
+        start, size = p.size - 1 - min(c, n - 1), n + p.size - 1
+        with np.errstate(over="ignore", invalid="ignore"):  # as in ambiguity._emaf_rows
+            spectra = np.fft.fft(rows, n=size, axis=-1)
+            spectra *= np.fft.fft(p[::-1], n=size)
+            rows = np.fft.ifft(spectra, axis=-1)[:, start : start + n]
+    values = m.dt * _lag_axis_transform(rows, n).T
     return TFRGrid(values, dt=m.dt)
 
 

@@ -21,6 +21,7 @@ from ambishrink.procgen import gen_aggregation, gen_white_noise
 from ambishrink.series import TimeSeries, analytic_spectrum_weights
 from ambishrink.shrinkage import FitConvergenceError, ShrinkageParams, apply_threshold, shrink
 from ambishrink.textio import read_matrix, read_signal, write_matrix, write_signal
+from ambishrink.tfr import bilinear, window_bank
 
 ARTIFACTS = (
     "emaf.mat",
@@ -183,6 +184,16 @@ class TestAnalyze:
         _, trailing = read_matrix(outdir / "tfr.mat")
         assert trailing == ["# tfr alpha=0.5 kernel=hann:5"]
 
+    def test_smoothed_tfr_is_the_library_surface_of_the_squared_window(self, tmp_path):
+        outdir = tmp_path / "run"
+        argv = ["analyze", "--input", "whitenoise", "--n", "32", "--seed", "5", "--dt", "0.37"]
+        assert main(argv + ["--alpha", "0", "--kernel", "hann:5", "--outdir", str(outdir)]) == 0
+        h = window_bank("hann", 0, 5)
+        profile = h * h / np.sum(h * h)
+        expected = bilinear(shrink(gen_white_noise(32, seed=5, dt=0.37)).m_eb, 0.0, profile).values
+        tfr, _ = read_matrix(outdir / "tfr.mat")
+        np.testing.assert_array_equal(tfr.view(np.uint64), np.ascontiguousarray(expected).view(np.uint64))
+
     def test_unrecognizable_input_exits_2(self, tmp_path, capsys):
         code = main(["analyze", "--input", "nosuchpreset", "--outdir", str(tmp_path / "r")])
         assert code == 2
@@ -305,6 +316,15 @@ class TestAnalyze:
         # the record is analysed at the dt of its header, so that is the dt its summary names
         assert read_summary(outdir / "summary.txt")["dt"] == "0.5"
 
+    @pytest.mark.parametrize("flag", [[], ["--seed", "9"]], ids=["default", "seed-9"])
+    def test_summary_of_a_file_record_names_no_seed(self, tmp_path, flag):
+        sig = tmp_path / "w.sig"
+        write_signal(sig, gen_white_noise(32, seed=0))
+        outdir = tmp_path / "r"
+        assert main(["analyze", "--input", str(sig), "--outdir", str(outdir), *flag]) == 0
+        # the seed draws only preset records; a file's samples owe it nothing
+        assert "seed" not in read_summary(outdir / "summary.txt")
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("input=whitenoise\nwindowing=hann\n")
@@ -417,9 +437,9 @@ class TestAnalyzeMemory:
             assert main(argv + ["--outdir", str(tmp_path / "r")]) == 0
         finally:
             tracemalloc.stop()
-        # af_eb, m_raw, theta, m_eb and the covariance are live here (2.8 units);
-        # a_raw or a_norm kept past emaf.mat and the QQ files adds one unit each
-        assert len(live) == 1 and live[0] <= 3.25 * unit
+        # m_raw, theta, m_eb and the covariance are live here (1.8 units); a dense af_eb,
+        # or a_raw or a_norm kept past emaf.mat and the QQ files, adds one unit each
+        assert len(live) == 1 and live[0] <= 2.25 * unit
 
 
 class TestRiskbench:
@@ -598,7 +618,8 @@ class TestArtifactWriters:
         assert (outdir / "psi.txt").read_text() == psi
         assert read_matrix(outdir / "cov_eb.mat")[1] == ["# correction=shift mineig=0"]
         assert read_matrix(outdir / "tfr.mat")[1] == ["# tfr alpha=0 kernel=hann:5"]
-        assert summary_keys(outdir) == summary_keys(converged)
+        # a file record names no seed
+        assert summary_keys(outdir) == [key for key in summary_keys(converged) if key != "seed"]
 
     def test_unconverged_run_writes_only_the_files_before_the_fit_is_judged(
         self, tmp_path, monkeypatch, converged

@@ -43,8 +43,9 @@ def interp_moment(m: LagTimeMoments, tau: int, u: float) -> complex:
 
 
 def bilinear_reference(m: LagTimeMoments, alpha: float, kernel=None) -> np.ndarray:
-    """Triple-loop evaluation of the bilinear surface."""
+    """Triple-loop evaluation of the bilinear surface; ``kernel`` is a time profile."""
     n, dt = m.n, m.dt
+    centre = 0 if kernel is None else (len(kernel) - 1) // 2
     out = np.zeros((n, 2 * n), dtype=complex)
     taus = range(-(n - 1), n)
     for t in range(n):
@@ -56,14 +57,12 @@ def bilinear_reference(m: LagTimeMoments, alpha: float, kernel=None) -> np.ndarr
                 if kernel is None:
                     total += dt * interp_moment(m, tau, t + (0.5 - alpha) * tau) * phase
                 else:
+                    # base times k off the record hold no moment row
                     for k in range(n):
-                        w = kernel(tau, np.array([(k - t) * dt]))[0]
-                        total += (
-                            dt**2
-                            * w
-                            * interp_moment(m, tau, k + (0.5 - alpha) * tau)
-                            * phase
-                        )
+                        j = k - t + centre
+                        if 0 <= j < len(kernel):
+                            w = kernel[j]
+                            total += dt * w * interp_moment(m, tau, k + (0.5 - alpha) * tau) * phase
             out[t, c] = total
     return out
 
@@ -151,36 +150,49 @@ class TestBilinear:
         expected = np.ascontiguousarray(expected)
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
-    def test_custom_delta_kernel_equals_default(self):
+    def test_one_tap_profile_equals_default(self):
         m = random_moments(5, seed=3, dt=0.5)
-
-        def delta(tau, offsets):
-            return np.where(offsets == 0.0, 1.0 / 0.5, 0.0)
-
         np.testing.assert_allclose(
-            bilinear(m, alpha=0.5, kernel=delta).values,
+            bilinear(m, alpha=0.5, kernel=np.array([1.0])).values,
             bilinear(m, alpha=0.5).values,
             atol=1e-12,
         )
 
-    def test_smoothing_kernel_matches_triple_loop(self):
+    def test_smoothing_profile_matches_triple_loop(self):
         m = random_moments(4, seed=4)
-
-        def gauss(tau, offsets):
-            return np.exp(-0.5 * (offsets / 1.5) ** 2)
-
+        gauss = np.exp(-0.5 * (np.arange(-3, 4) / 1.5) ** 2)
         surface = bilinear(m, alpha=0.0, kernel=gauss)
         expected = bilinear_reference(m, alpha=0.0, kernel=gauss)
         np.testing.assert_allclose(surface.values, expected, atol=1e-10)
 
-    def test_kernel_surface_past_where_dt_squared_overflows(self):
-        # a unit-mass kernel has height 1/dt, so the surface is dt times that at dt = 1
-        def kernel_at(dt):
-            return lambda tau, offsets: np.exp(-0.5 * (offsets / (1.5 * dt)) ** 2) / dt
+    # p[c] weights the sample itself, p[c + 1] the next one: a mirrored profile would fail
+    @pytest.mark.parametrize(
+        "profile", [[0.1, 0.5, 0.2, 0.7], [0.3, 1.0, 0.0, 0.0, 0.2], [0.0, 2.0]], ids=["even", "odd", "two"]
+    )
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_orientation_of_asymmetric_profiles_matches_triple_loop(self, profile, alpha):
+        m = random_moments(5, seed=10, dt=0.37)
+        surface = bilinear(m, alpha=alpha, kernel=np.array(profile))
+        expected = bilinear_reference(m, alpha=alpha, kernel=profile)
+        np.testing.assert_allclose(surface.values, expected, atol=1e-10)
 
-        unit = bilinear(random_moments(6, seed=12), alpha=0.0, kernel=kernel_at(1.0))
-        huge = bilinear(random_moments(6, seed=12, dt=1e160), alpha=0.0, kernel=kernel_at(1e160))
-        np.testing.assert_allclose(huge.values, 1e160 * unit.values, rtol=1e-13)
+    @pytest.mark.parametrize("length", [15, 16, 40])
+    def test_profile_longer_than_the_lag_axis_equals_its_trimmed_centre(self, length):
+        n = 4
+        m = random_moments(n, seed=11)
+        profile = np.random.default_rng(length).uniform(size=length)
+        centre = (length - 1) // 2
+        trimmed = profile[centre - (n - 1) : centre + n]  # 2n - 1 taps, centred on the same one
+        long = bilinear(m, alpha=0.0, kernel=profile).values
+        np.testing.assert_array_equal(long, bilinear(m, alpha=0.0, kernel=trimmed).values)
+        np.testing.assert_allclose(long, bilinear_reference(m, 0.0, profile), atol=1e-10)
+
+    def test_kernel_surface_past_where_dt_squared_overflows(self):
+        # the profile's weights are dimensionless, so the surface scales as dt
+        profile = np.exp(-0.5 * (np.arange(-4, 5) / 1.5) ** 2)
+        unit = bilinear(random_moments(6, seed=12), alpha=0.0, kernel=profile)
+        huge = bilinear(random_moments(6, seed=12, dt=1e160), alpha=0.0, kernel=profile)
+        np.testing.assert_array_equal(huge.values, 1e160 * unit.values)
 
     def test_wigner_of_exact_moments_is_real(self):
         m = hermitian_moments(8, seed=5)
@@ -204,10 +216,15 @@ class TestBilinear:
         with pytest.raises(ValueError, match="alpha"):
             bilinear(m, alpha=0.75)
 
-    def test_rejects_kernel_with_wrong_arity(self):
+    @pytest.mark.parametrize(
+        "kernel",
+        [np.ones((2, 3)), np.array([]), np.array([0.2, np.nan]), np.array([np.inf]), lambda tau, offsets: offsets],
+        ids=["2d", "empty", "nan", "inf", "callable"],
+    )
+    def test_rejects_a_kernel_that_is_not_a_finite_profile(self, kernel):
         m = random_moments(4, seed=9)
         with pytest.raises(ValueError, match="kernel"):
-            bilinear(m, alpha=0.5, kernel=lambda tau, offsets: offsets[:2])
+            bilinear(m, alpha=0.5, kernel=kernel)
 
 
 class TestSpectrogram:
