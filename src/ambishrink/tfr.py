@@ -7,8 +7,10 @@ sum_j p_j M_tau(...) exp(...)`` for one time profile ``p`` of per-sample
 weights (:func:`bilinear`).  The ``alpha`` parameter selects the member of
 the bilinear family: ``alpha = 1/2`` evaluates moments exactly on the
 sample grid (Rihaczek), ``alpha = 0`` needs the moment at half-integer
-times (Wigner) and interpolates linearly.
-Spectrograms are provided on the same frequency grid for comparison.
+times (Wigner).  Each lag row ``tau`` is read at ``t + (1/2 - alpha) tau``,
+one shift per row, interpolating linearly between the two neighbouring
+samples.  Spectrograms are provided on the same frequency grid for
+comparison, each time's window read as one view of the zero-padded record.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ambiguity import AmbiguityGrid, LagTimeMoments
 from .series import AnalyticSeries, check_dt
@@ -87,27 +90,25 @@ def _lag_axis_transform(rows: np.ndarray, n: int) -> np.ndarray:
 def _interpolated_moment_rows(m: LagTimeMoments, alpha: float) -> np.ndarray:
     """Moment rows re-centered at ``t = k + (1/2 - alpha) tau``.
 
-    Linear interpolation between adjacent integer-indexed moments; times
-    outside ``[0, n-1]`` contribute zero, matching the support of the raw
-    estimator.  For ``alpha = 1/2`` the argument is always on-grid and the
-    rows come back unchanged.
+    Each lag row ``tau`` is shifted by one ``s = (1/2 - alpha) tau``, split
+    into an offset ``floor(s)`` and a fraction ``f``: cell ``k`` blends the
+    samples ``k + floor(s)`` and ``k + floor(s) + 1`` with weights ``1 - f``
+    and ``f``, read as one window of ``n + 1`` samples from a zero-padded
+    copy of the row, so times outside ``[0, n-1]`` contribute zero, matching
+    the support of the raw estimator.  For ``alpha = 1/2`` the argument is
+    always on-grid and the rows come back unchanged.
     """
     if alpha == 0.5:
         return m.entries
     n = m.n
-    taus = np.arange(-(n - 1), n, dtype=float)
-    base = np.arange(n)[None, :] + (0.5 - alpha) * taus[:, None]
-    lo = np.floor(base).astype(int)
-    frac = base - lo
-    row_idx = np.broadcast_to(np.arange(2 * n - 1)[:, None], base.shape)
-
-    def value_at(idx: np.ndarray) -> np.ndarray:
-        inside = (idx >= 0) & (idx < n)
-        out = np.zeros(base.shape, dtype=complex)
-        out[inside] = m.entries[row_idx[inside], idx[inside]]
-        return out
-
-    return (1.0 - frac) * value_at(lo) + frac * value_at(lo + 1)
+    shift = (0.5 - alpha) * np.arange(-(n - 1), n)
+    lo = np.floor(shift).astype(int)
+    frac = (shift - lo)[:, None]
+    left = max(0, -lo.min())
+    padded = np.pad(m.entries, ((0, 0), (left, max(0, lo.max() + 1))))
+    taps = sliding_window_view(padded, n + 1, axis=1)[np.arange(2 * n - 1), left + lo]
+    del padded  # 1 + |1 - 2 alpha| grids wide; freed before the blend
+    return (1.0 - frac) * taps[:, :-1] + frac * taps[:, 1:]
 
 
 def bilinear(m: LagTimeMoments, alpha: float = 0.5, kernel: np.ndarray | None = None) -> TFRGrid:
@@ -157,13 +158,10 @@ def spectrogram(z: AnalyticSeries, window: np.ndarray) -> TFRGrid:
     if not np.all(np.isfinite(h)) or not np.any(h):
         raise ValueError("window must be finite with some nonzero energy")
     h = h / np.sqrt(np.sum(h * h))
-    half = (h.size - 1) // 2
-    samples = np.asarray(z.samples, dtype=complex)
-    windowed = np.zeros((n, n), dtype=complex)
-    for t in range(n):
-        lo = max(0, t - half)
-        hi = min(n, t - half + h.size)
-        windowed[t, lo:hi] = h[lo - (t - half) : hi - (t - half)] * samples[lo:hi]
+    c = (h.size - 1) // 2
+    padded = np.pad(np.asarray(z.samples, dtype=complex), (c, h.size - 1 - c))
+    # row t holds samples t - c .. t - c + L - 1; the phase its offset adds drops out of |.|^2
+    windowed = sliding_window_view(padded, h.size) * h
     spectra = np.fft.fftshift(np.fft.fft(windowed, n=2 * n, axis=1), axes=1)
     values = z.dt * np.abs(spectra) ** 2
     return TFRGrid(values.astype(complex), dt=z.dt)
@@ -182,14 +180,9 @@ def _hermite_rows(order: int, length: int) -> np.ndarray:
     span = np.sqrt(2.0 * order + 1.0) + 4.0
     x = np.linspace(-span, span, length)
     envelope = np.exp(-0.5 * x * x)
-    rows = np.empty((order + 1, length))
     # high orders overflow to inf or NaN; window_bank rejects them
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(order + 1):
-            coeffs = np.zeros(r + 1)
-            coeffs[r] = 1.0
-            rows[r] = np.polynomial.hermite.hermval(x, coeffs) * envelope
-    return rows
+        return np.polynomial.hermite.hermvander(x, order).T * envelope
 
 
 def window_bank(kind: str, order: int, length: int) -> np.ndarray:
@@ -200,8 +193,8 @@ def window_bank(kind: str, order: int, length: int) -> np.ndarray:
     rows sharing one symmetric sampling grid, so the bank stays mutually
     orthogonal to sampling accuracy.  Every returned row has
     ``sum(h^2) == 1``.  A bank whose energies overflow (``hermite`` from
-    order 150 or so) raises ``ValueError`` instead of returning rows of NaN
-    or zeros.
+    order 150 or so) or vanish (``hann`` of length 2) raises ``ValueError``
+    instead of returning rows of NaN or zeros.
     """
     if length < 2:
         raise ValueError(f"window length must be at least 2, got {length}")
@@ -220,5 +213,7 @@ def window_bank(kind: str, order: int, length: int) -> np.ndarray:
         energy = np.sum(rows * rows, axis=1, keepdims=True)
     if not np.all(np.isfinite(energy)):
         raise ValueError(f"{kind} window bank of order {order} overflows floating point")
+    if not np.all(energy > 0):
+        raise ValueError(f"{kind} window of length {length} has zero energy")
     rows = rows / np.sqrt(energy)
     return rows[0] if kind in ("gaussian", "hann") else rows

@@ -280,6 +280,15 @@ class TestAnalyze:
         assert_one_error_line(capsys, "overflows")
         assert not outdir.exists()
 
+    def test_zero_energy_window_exits_2_before_writing(self, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        argv = ["analyze", "--input", "whitenoise", "--n", "16", "--kernel", "hann:2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--outdir", str(outdir)]) == 2
+        assert_one_error_line(capsys, "zero energy")
+        assert not outdir.exists()
+
     def test_overflowing_normalization_exits_2_without_warnings(self, tmp_path, capsys):
         argv = ["analyze", "--input", "tvchirp", "--n", "16", "--dt", "1e-300"]
         with warnings.catch_warnings():

@@ -1,15 +1,25 @@
 """Tests for bilinear time-frequency surfaces and analysis windows."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambishrink.ambiguity import AmbiguityGrid, LagTimeMoments, lag_support_mask, raw_moments
 from ambishrink.series import AnalyticSeries, analytic_signal, demean
 from ambishrink.procgen import gen_aggregation, gen_white_noise
 from ambishrink.shrinkage import shrink
-from ambishrink.tfr import TFRGrid, bilinear, dual_frequency, spectrogram, window_bank
+from ambishrink.tfr import (
+    TFRGrid,
+    _interpolated_moment_rows,
+    bilinear,
+    dual_frequency,
+    spectrogram,
+    window_bank,
+)
 
 
 def random_moments(n: int, seed: int, dt: float = 1.0) -> LagTimeMoments:
@@ -40,6 +50,24 @@ def interp_moment(m: LagTimeMoments, tau: int, u: float) -> complex:
     left = row[lo] if 0 <= lo < m.n else 0.0
     right = row[lo + 1] if 0 <= lo + 1 < m.n else 0.0
     return (1.0 - frac) * left + frac * right
+
+
+def per_cell_rows(m: LagTimeMoments, alpha: float) -> np.ndarray:
+    """Re-centred rows from one index and one fraction per cell, zero off the record."""
+    n = m.n
+    taus = np.arange(-(n - 1), n, dtype=float)
+    base = np.arange(n)[None, :] + (0.5 - alpha) * taus[:, None]
+    lo = np.floor(base).astype(int)
+    frac = base - lo
+    row_idx = np.broadcast_to(np.arange(2 * n - 1)[:, None], base.shape)
+
+    def value_at(idx: np.ndarray) -> np.ndarray:
+        inside = (idx >= 0) & (idx < n)
+        out = np.zeros(base.shape, dtype=complex)
+        out[inside] = m.entries[row_idx[inside], idx[inside]]
+        return out
+
+    return (1.0 - frac) * value_at(lo) + frac * value_at(lo + 1)
 
 
 def bilinear_reference(m: LagTimeMoments, alpha: float, kernel=None) -> np.ndarray:
@@ -117,11 +145,43 @@ class TestBilinear:
             surface = bilinear(m, alpha=alpha)
             np.testing.assert_allclose(surface.values, sigma2 * 0.25, atol=1e-12)
 
-    def test_matches_triple_loop_with_interpolation(self):
+    @pytest.mark.parametrize("alpha", [-0.5, -0.3, 0.0, 0.3])
+    def test_matches_triple_loop_with_interpolation(self, alpha):
         m = random_moments(4, seed=1, dt=0.5)
-        surface = bilinear(m, alpha=0.0)
-        expected = bilinear_reference(m, alpha=0.0)
+        surface = bilinear(m, alpha=alpha)
+        expected = bilinear_reference(m, alpha=alpha)
         np.testing.assert_allclose(surface.values, expected, atol=1e-10)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        n=st.sampled_from([2, 3, 7, 16, 33]),
+        seed=st.integers(0, 2**16),
+        alpha=st.floats(-0.5, 0.5) | st.integers(-128, 128).map(lambda k: k / 256),
+    )
+    def test_recentred_rows_match_the_per_cell_formula(self, n, seed, alpha):
+        # one shift per row rounds once; k + shift per cell may round again in its last bit
+        m = random_moments(n, seed)
+        got = _interpolated_moment_rows(m, alpha)
+        expected = per_cell_rows(m, alpha)
+        if (256 * alpha).is_integer():
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        else:
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
+
+    def test_wigner_peak_memory_in_grid_units(self):
+        n = 256
+        unit = (2 * n - 1) * n * 16  # one complex (2n-1, n) moment grid
+        m = random_moments(n, seed=13)
+        bilinear(m, alpha=0.0)  # warm-up: FFT plans and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bilinear(m, alpha=0.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the re-centred rows add one unit to the three the lag transform holds at alpha = 1/2
+        assert peak <= 4.25 * unit
 
     def test_rihaczek_matches_triple_loop(self):
         m = random_moments(4, seed=2)
@@ -258,11 +318,12 @@ class TestSpectrogram:
             slice_mass = surface.values[t].real.sum() / (2 * n)
             assert slice_mass == pytest.approx(direct, abs=1e-8)
 
-    def test_matches_double_loop(self):
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 8])
+    def test_matches_double_loop(self, length):
         n = 8
         rng = np.random.default_rng(12)
         z = AnalyticSeries(rng.standard_normal(n) + 1j * rng.standard_normal(n), dt=0.5)
-        h = window_bank("hann", 0, 4)
+        h = rng.uniform(0.1, 1.0, size=length)  # asymmetric, so a mirrored window would fail
         surface = spectrogram(z, h)
         hn = h / np.sqrt(np.sum(h * h))
         half = (h.size - 1) // 2
@@ -383,6 +444,13 @@ class TestWindowBank:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="order"):
             window_bank("hermite", -1, 16)
+
+    def test_rejects_zero_energy_window_without_warnings(self):
+        # both samples of a 2-tap Hann window are zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="hann window of length 2 has zero energy"):
+                window_bank("hann", 0, 2)
 
     @pytest.mark.parametrize("order", [200, 400])
     def test_rejects_overflowing_bank_without_warnings(self, order):
