@@ -325,12 +325,12 @@ def run_riskbench(
     _check_seed(seed)
     try:
         truth = TheoreticalCovariance(_analytic_truth(spec.truth(n, dt).entries))
-        var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), seed)
         ratios = np.empty(reps)
         for rep in range(reps):
             est = shrink(spec.sample(n, seed + rep, dt))
             shrunk = correct(assemble(est.m_eb), correction)
             ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
+        var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), seed)
     except ValueError as err:
         return _fail(f"cannot run riskbench on {preset}: {err}")
     with open(out, "w") as fh:

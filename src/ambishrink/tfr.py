@@ -9,8 +9,8 @@ the bilinear family: ``alpha = 1/2`` evaluates moments exactly on the
 sample grid (Rihaczek), ``alpha = 0`` needs the moment at half-integer
 times (Wigner).  Each lag row ``tau`` is read at ``t + (1/2 - alpha) tau``,
 one shift per row, interpolating linearly between the two neighbouring
-samples.  Spectrograms are provided on the same frequency grid for
-comparison, each time's window read as one view of the zero-padded record.
+samples.  Every surface is time-major, one C-contiguous row per time;
+spectrograms share the frequency grid, each window a view of the padded record.
 """
 
 from __future__ import annotations
@@ -73,18 +73,20 @@ class TFRGrid:
         return np.arange(self.n) * self.dt
 
 
-def _lag_axis_transform(rows: np.ndarray, n: int) -> np.ndarray:
-    """DFT over the lag axis onto the ``2 n`` frequency columns.
+def _lag_axis_transform(rows: np.ndarray, n: int, dt: float) -> np.ndarray:
+    """``dt`` times the DFT over lag, time-major, onto the ``2 n`` frequency columns.
 
-    ``rows`` has one row per lag ``tau in [-(n-1), n-1]`` and an arbitrary
-    second axis; the result swaps the lag axis for a frequency axis ordered
-    ``j in [-n, n)``.  Lags are placed modulo ``2 n`` so a single FFT
-    evaluates ``sum_tau rows[tau] exp(-2 pi i j tau / (2 n))`` exactly.
+    ``rows`` has one row per lag ``tau in [-(n-1), n-1]``; the result has one
+    C-contiguous row per column of ``rows``, frequencies ``j in [-n, n)`` along it.
+    Lags are placed modulo ``2 n`` along the last axis so a single FFT evaluates
+    ``sum_tau rows[tau] exp(-2 pi i j tau / (2 n))`` exactly.
     """
-    padded = np.zeros((2 * n,) + rows.shape[1:], dtype=complex)
-    padded[:n] = rows[n - 1 :]
-    padded[n + 1 :] = rows[: n - 1]
-    return np.fft.fftshift(np.fft.fft(padded, axis=0), axes=0)
+    padded = np.zeros(rows.shape[1:] + (2 * n,), dtype=complex)
+    padded[:, :n] = rows[n - 1 :].T
+    padded[:, n + 1 :] = rows[: n - 1].T
+    padded = np.fft.fft(padded, axis=-1)
+    shifted = np.fft.fftshift(padded, axes=-1)
+    return np.multiply(dt, shifted, out=shifted)  # dt first: x *= dt gives underflowed zeros other signs
 
 
 def _interpolated_moment_rows(m: LagTimeMoments, alpha: float) -> np.ndarray:
@@ -136,8 +138,7 @@ def bilinear(m: LagTimeMoments, alpha: float = 0.5, kernel: np.ndarray | None = 
             spectra = np.fft.fft(rows, n=size, axis=-1)
             spectra *= np.fft.fft(p[::-1], n=size)
             rows = np.fft.ifft(spectra, axis=-1)[:, start : start + n]
-    values = m.dt * _lag_axis_transform(rows, n).T
-    return TFRGrid(values, dt=m.dt)
+    return TFRGrid(_lag_axis_transform(rows, n, m.dt), dt=m.dt)
 
 
 def spectrogram(z: AnalyticSeries, window: np.ndarray) -> TFRGrid:
@@ -162,8 +163,8 @@ def spectrogram(z: AnalyticSeries, window: np.ndarray) -> TFRGrid:
     padded = np.pad(np.asarray(z.samples, dtype=complex), (c, h.size - 1 - c))
     # row t holds samples t - c .. t - c + L - 1; the phase its offset adds drops out of |.|^2
     windowed = sliding_window_view(padded, h.size) * h
-    spectra = np.fft.fftshift(np.fft.fft(windowed, n=2 * n, axis=1), axes=1)
-    values = z.dt * np.abs(spectra) ** 2
+    spectra = np.fft.fft(windowed, n=2 * n, axis=1)
+    values = np.fft.fftshift(z.dt * np.abs(spectra) ** 2, axes=1)
     return TFRGrid(values.astype(complex), dt=z.dt)
 
 
@@ -173,7 +174,7 @@ def dual_frequency(a: AmbiguityGrid) -> np.ndarray:
     Returns a complex grid indexed ``(nu, f)``, both on the doubled dual
     grid, with entries ``dt * sum_tau A_tau(nu) exp(-2 pi i f tau dt)``.
     """
-    return (a.dt * _lag_axis_transform(a.entries, a.n)).T
+    return _lag_axis_transform(a.entries, a.n, a.dt)
 
 
 def _hermite_rows(order: int, length: int) -> np.ndarray:

@@ -605,6 +605,24 @@ class TestRiskbenchChecksFirst:
         assert_one_error_line(capsys, fragment)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "preset, dt, fragment",
+        [("whitenoise", "1e-300", "normalization field"), ("tvchirp", "1e120", "NaN or infinity")],
+        ids=["normalization-overflow", "emaf-overflow"],
+    )
+    def test_failing_replicate_exits_2_before_the_probe(
+        self, tmp_path, capsys, monkeypatch, preset, dt, fragment
+    ):
+        def not_called(*args, **kwargs):
+            raise AssertionError("the probe ran before the first replicate")
+
+        monkeypatch.setattr(cli, "variance_reduction_probe", not_called)
+        out = tmp_path / "b.txt"
+        argv = ["riskbench", preset, "--reps", "1", "--n", "64", "--dt", dt, "--out", str(out)]
+        assert main(argv) == 2
+        assert_one_error_line(capsys, fragment)
+        assert not out.exists()
+
 
 class TestArtifactWriters:
     FLAGS = ["--correction", "shift", "--alpha", "0", "--kernel", "hann:5"]

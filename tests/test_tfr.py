@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ambishrink.tfr as tfr
 from ambishrink.ambiguity import AmbiguityGrid, LagTimeMoments, lag_support_mask, raw_moments
 from ambishrink.series import AnalyticSeries, analytic_signal, demean
 from ambishrink.procgen import gen_aggregation, gen_white_noise
@@ -95,6 +96,28 @@ def bilinear_reference(m: LagTimeMoments, alpha: float, kernel=None) -> np.ndarr
     return out
 
 
+def lag_major_transform(rows: np.ndarray, n: int, dt: float) -> np.ndarray:
+    """The lag transform built lag-major: FFT down the lag axis, shift it, then scale the transpose."""
+    padded = np.zeros((2 * n,) + rows.shape[1:], dtype=complex)
+    padded[:n] = rows[n - 1 :]
+    padded[n + 1 :] = rows[: n - 1]
+    return dt * np.fft.fftshift(np.fft.fft(padded, axis=0), axes=0).T
+
+
+def assert_same_bits(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.shape == expected.shape
+    got, expected = np.ascontiguousarray(got), np.ascontiguousarray(expected)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def signed_zero_grid(rows: int, cols: int, seed: int) -> np.ndarray:
+    """Random complex grid whose first column is -0.0, so some outputs are exact signed zeros."""
+    rng = np.random.default_rng(seed)
+    entries = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    entries[:, 0] = complex(-0.0, -0.0)
+    return entries
+
+
 class TestTFRGridType:
     def test_rejects_non_doubled_shape(self):
         with pytest.raises(ValueError, match="shape"):
@@ -168,20 +191,23 @@ class TestBilinear:
         else:
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
 
-    def test_wigner_peak_memory_in_grid_units(self):
+    # the lag transform holds two units, the padded rows and their spectra, then the spectra and
+    # the shifted surface; the re-centred rows add a third at alpha = 0
+    @pytest.mark.parametrize("alpha, bound", [(0.0, 3.25), (0.5, 2.25)])
+    def test_wigner_peak_memory_in_grid_units(self, alpha, bound):
         n = 256
         unit = (2 * n - 1) * n * 16  # one complex (2n-1, n) moment grid
         m = random_moments(n, seed=13)
-        bilinear(m, alpha=0.0)  # warm-up: FFT plans and caches
+        bilinear(m, alpha=alpha)  # warm-up: FFT plans and caches
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            bilinear(m, alpha=0.0)
+            surface = bilinear(m, alpha=alpha)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the re-centred rows add one unit to the three the lag transform holds at alpha = 1/2
-        assert peak <= 4.25 * unit
+        assert peak <= bound * unit
+        assert surface.values.flags.c_contiguous
 
     def test_rihaczek_matches_triple_loop(self):
         m = random_moments(4, seed=2)
@@ -202,13 +228,7 @@ class TestBilinear:
         right[:, :-1] = m.entries[:, 1:]
         frac = np.zeros(m.entries.shape)
         rows = (1.0 - frac) * m.entries + frac * right
-        padded = np.zeros((2 * n, n), dtype=complex)
-        padded[:n] = rows[n - 1 :]
-        padded[n + 1 :] = rows[: n - 1]
-        expected = m.dt * np.fft.fftshift(np.fft.fft(padded, axis=0), axes=0).T
-        got = np.ascontiguousarray(bilinear(m, alpha=0.5).values)
-        expected = np.ascontiguousarray(expected)
-        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert_same_bits(bilinear(m, alpha=0.5).values, lag_major_transform(rows, n, m.dt))
 
     def test_one_tap_profile_equals_default(self):
         m = random_moments(5, seed=3, dt=0.5)
@@ -338,6 +358,7 @@ class TestSpectrogram:
                         total += hn[offset] * z.samples[s] * np.exp(-2j * np.pi * j * s / (2 * n))
                 expected[t, c] = 0.5 * abs(total) ** 2
         np.testing.assert_allclose(surface.values.real, expected, atol=1e-10)
+        assert surface.values.flags.c_contiguous
 
     def test_values_real_and_nonnegative(self):
         z = analytic_signal(demean(gen_white_noise(24, seed=13)))
@@ -399,6 +420,37 @@ class TestDualFrequency:
                     a.entries[:, nu_idx] * np.exp(-2j * np.pi * j * taus / (2 * n))
                 )
                 assert grid[nu_idx, c] == pytest.approx(expected, abs=1e-12)
+
+
+class TestTimeMajorLayout:
+    """Each surface is the lag-major one (transform down the lags, scale, transpose) bit for bit."""
+
+    # dt = 5e-324 underflows many products to signed zeros, whose signs depend on the operand order
+    DTS = (1.0, 0.37, 5e-324)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 33, 128])
+    def test_bilinear(self, monkeypatch, n):
+        profiles = (None, window_bank("hann", 0, 5))
+        entries = np.where(lag_support_mask(n), signed_zero_grid(2 * n - 1, n, seed=n), 0.0)
+        cases = [
+            (LagTimeMoments(entries, dt=dt), alpha, p)
+            for dt in self.DTS
+            for alpha in (-0.5, -0.3, 0.0, 0.3, 0.5)
+            for p in profiles
+        ]
+        got = [bilinear(m, alpha=alpha, kernel=p).values for m, alpha, p in cases]
+        assert all(values.flags.c_contiguous for values in got)
+        monkeypatch.setattr(tfr, "_lag_axis_transform", lag_major_transform)
+        for values, (m, alpha, p) in zip(got, cases):
+            assert_same_bits(values, bilinear(m, alpha=alpha, kernel=p).values)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 33, 128])
+    def test_dual_frequency(self, n):
+        for dt in self.DTS:
+            a = AmbiguityGrid(signed_zero_grid(2 * n - 1, 2 * n, seed=n), dt=dt)
+            got = dual_frequency(a)
+            assert got.flags.c_contiguous
+            assert_same_bits(got, lag_major_transform(a.entries, n, dt))
 
 
 class TestWindowBank:
