@@ -23,7 +23,11 @@ and ``summary.txt``, still are).
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
+import signal
 import sys
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn, get_type_hints
@@ -249,8 +253,79 @@ def _write_summary(
         fh.writelines(f"{key}={value}\n" for key, value in items)
 
 
+def _fork_beside(child: Callable[[], None], parent: Callable[[], None]) -> None:
+    """Run ``child`` in a forked process while this one runs ``parent``; reap it; raise a failure.
+
+    The child sends an exception it raises, pickled, down a pipe and always
+    leaves by ``os._exit``: it never returns into its caller's stack and
+    writes nothing to stderr.  This process reads the pipe to its end and
+    reaps the child on every path.  A failure of ``parent`` is the one
+    raised; otherwise the child's exception is re-raised here, and a child
+    that ends any other way than a clean exit raises ``OSError``.  Without
+    ``os.fork`` the two run in turn.
+    """
+    if not hasattr(os, "fork"):
+        child()
+        parent()
+        return
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns that fork with other threads alive may deadlock the child, and
+        # the idle OpenBLAS pool is such threads.  The child is safe: it takes no lock another
+        # thread holds, makes no BLAS call, and ends with os._exit.
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+        )
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as report:
+                try:
+                    child()
+                    code = 0
+                except BaseException as err:
+                    report.write(pickle.dumps(err))
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        parent()
+    finally:
+        try:
+            with open(read_fd, "rb") as report:
+                failure = report.read()
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if failure:
+        raise pickle.loads(failure)
+    if status < 0:
+        raise OSError(f"fit-file writer killed by signal {-status} ({signal.strsignal(-status)})")
+    if status > 0:
+        raise OSError(f"fit-file writer exited with status {status}")
+
+
 def run_analyze(cfg: PipelineConfig) -> int:
-    """Estimate ``cfg.input`` into ``cfg.outdir``; any estimate stage's failure is one line."""
+    """Estimate ``cfg.input`` into ``cfg.outdir``; return the exit code.
+
+    An unreadable record or an uncreatable directory is one ``error:`` line,
+    exit 2, and so is any estimate stage's failure, before any file of a
+    converged fit is written.  An all-zero record writes a zero estimate.  A
+    fit that does not converge writes the fit files and ``summary.txt``, exit
+    3.  A converged fit builds every array first; then, after the last BLAS
+    call, one forked child rebuilds the EMAF from ``m_raw`` (FFTs only) and
+    writes the fit files while this process writes the estimate files, so
+    the formatting takes both cores.  ``summary.txt`` is written last, once
+    both succeed.  A fork shuts OpenBLAS's thread pool down and the next BLAS
+    call restarts it, so a fork before ``correct`` would leave the restarted
+    workers spinning on the child's core.
+    """
     path = Path(cfg.input)
     preset = not path.exists()
     if not preset:
@@ -291,8 +366,8 @@ def run_analyze(cfg: PipelineConfig) -> int:
             for q in qq_normalized_af(a_norm, p.vbar)
         ]
         del a_norm
-        _write_fit(outdir, a_raw.entries, psi, qq)
         if not est.converged:
+            _write_fit(outdir, a_raw.entries, psi, qq)
             _write_summary(outdir, cfg, x, preset, psi, None)
             print("error: mixture fit did not converge; best-so-far written", file=sys.stderr)
             return 3
@@ -307,7 +382,10 @@ def run_analyze(cfg: PipelineConfig) -> int:
         return _fail(f"cannot analyze {cfg.input}: {err}")
 
     mineig = cov.min_eigenvalue()
-    _write_estimate(outdir, cfg, theta, af_eb, est.m_eb.entries, cov.entries, mineig, tfr)
+    _fork_beside(
+        lambda: _write_fit(outdir, emaf(est.m_raw).entries, psi, qq),
+        lambda: _write_estimate(outdir, cfg, theta, af_eb, est.m_eb.entries, cov.entries, mineig, tfr),
+    )
     estimate = (cov_est.min_eigenvalue(), mineig, np.mean(theta > 0))
     _write_summary(outdir, cfg, x, preset, psi, estimate)
     return 0

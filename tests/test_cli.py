@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver."""
 
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import ambishrink.cli as cli
+import ambishrink.covariance as covariance
 from ambishrink.ambiguity import emaf, normalization, normalize
 from ambishrink.cli import PipelineConfig, main, run_analyze
 from ambishrink.procgen import gen_aggregation, gen_white_noise
@@ -710,6 +712,115 @@ class TestWriteFailure:
         (outdir / "emaf.mat").mkdir(parents=True)
         assert main(["analyze", "--input", "whitenoise", "--n", "16", "--outdir", str(outdir)]) == 2
         assert_one_error_line(capsys, "cannot write output")
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedFitWriter:
+    """A converged run writes the fit files in a forked child beside the estimate files."""
+
+    ARGV = ["analyze", "--input", "whitenoise", "--n", "16"]
+
+    def failing_run(self, tmp_path, capsys, directories: tuple[str, ...]) -> str:
+        outdir = tmp_path / "r"
+        for name in directories:
+            (outdir / name).mkdir(parents=True)
+        assert main(self.ARGV + ["--outdir", str(outdir)]) == 2
+        assert_no_child_left()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert not (outdir / "summary.txt").exists()
+        return err
+
+    def test_child_os_error_reads_as_before(self, tmp_path, capsys):
+        err = self.failing_run(tmp_path, capsys, ("emaf.mat",))
+        path = tmp_path / "r" / "emaf.mat"
+        assert err == f"error: cannot write output: [Errno 21] Is a directory: '{path}'\n"
+
+    def test_child_value_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        write = cli.write_matrix
+
+        def refuse_emaf(path, array, trailing=()):
+            if Path(path).name == "emaf.mat":
+                raise ValueError("emaf refused")
+            write(path, array, trailing)
+
+        monkeypatch.setattr(cli, "write_matrix", refuse_emaf)
+        assert self.failing_run(tmp_path, capsys, ()) == "error: emaf refused\n"
+
+    @pytest.mark.parametrize("directories", [("tfr.mat",), ("emaf.mat", "tfr.mat")])
+    def test_parent_failure_is_the_one_reported(self, tmp_path, capsys, directories):
+        err = self.failing_run(tmp_path, capsys, directories)
+        assert err.startswith("error: cannot write output: ") and "tfr.mat" in err, err
+
+    def test_killed_child_names_its_signal(self, tmp_path, capsys, monkeypatch):
+        def die(outdir, emaf, psi, qq):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(cli, "_write_fit", die)
+        err = self.failing_run(tmp_path, capsys, ())
+        assert err.startswith("error: cannot write output: ") and f"signal {int(signal.SIGKILL)}" in err
+
+    def test_no_blas_call_after_the_fork(self, tmp_path, monkeypatch):
+        log = []
+        fork, one_blas_thread = os.fork, covariance._one_blas_thread
+
+        def logged_fork():
+            log.append("fork")
+            return fork()
+
+        def logged_one_blas_thread():
+            log.append("blas")
+            return one_blas_thread()
+
+        monkeypatch.setattr(os, "fork", logged_fork)
+        monkeypatch.setattr(covariance, "_one_blas_thread", logged_one_blas_thread)
+        assert main(self.ARGV + ["--outdir", str(tmp_path / "r")]) == 0
+        assert log.count("fork") == 1 and "blas" in log
+        assert log[-1] == "fork", log
+        assert_no_child_left()
+
+    def test_threaded_fork_warning_is_ignored(self, tmp_path, monkeypatch):
+        # what os.fork warns on Python >= 3.12 while other threads are alive
+        fork = os.fork
+
+        def warning_fork():
+            message = f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead"
+            warnings.warn(message + " to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        assert main(self.ARGV + ["--outdir", str(tmp_path / "r")]) == 0
+        assert_no_child_left()
+
+    def test_failed_fork_closes_the_pipe(self, tmp_path, capsys, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = len(os.listdir("/dev/fd"))
+        assert main(self.ARGV + ["--outdir", str(tmp_path / "r")]) == 2
+        assert len(os.listdir("/dev/fd")) == before
+        assert_one_error_line(capsys, "cannot write output: [Errno 11]")
+
+    def test_forked_run_equals_the_inline_writers(self, tmp_path, monkeypatch):
+        argv = ["analyze", "--input", "aggregation512", "--n", "64", "--seed", "2"]
+        argv += ["--alpha", "0", "--kernel", "hann:5", "--correction", "shift"]
+        assert main(argv + ["--outdir", str(tmp_path / "forked")]) == 0
+
+        def inline(child, parent):
+            child()
+            parent()
+
+        monkeypatch.setattr(cli, "_fork_beside", inline)
+        assert main(argv + ["--outdir", str(tmp_path / "inline")]) == 0
+        assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == sorted(ARTIFACTS)
+        for name in ARTIFACTS:
+            forked, inlined = (tmp_path / run / name for run in ("forked", "inline"))
+            assert forked.read_bytes() == inlined.read_bytes(), name
 
 
 class TestErrorsNameTheirSetting:
