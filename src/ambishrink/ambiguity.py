@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .series import AnalyticSeries, _finite, check_dt, check_n
 
@@ -71,15 +71,8 @@ def lag_matrix(entries: np.ndarray) -> np.ndarray:
     n = entries.shape[-1]
     if entries.shape != (2 * n - 1, n):
         raise ValueError(f"expected shape (2n-1, n), got {entries.shape}")
-    return _lag_view(entries)
-
-
-def _lag_view(entries: np.ndarray) -> np.ndarray:
-    """The :func:`lag_matrix` view of each ``(2n-1, n)`` grid of a stack, for a checked shape."""
-    n = entries.shape[-1]
-    *stack, rows, cols = entries.strides
-    shape = (*entries.shape[:-2], n, n)
-    return as_strided(entries[..., n - 1 :, :], shape=shape, strides=(*stack, rows + cols, -rows))
+    rows, cols = entries.strides
+    return as_strided(entries[n - 1 :], shape=(n, n), strides=(rows + cols, -rows))
 
 
 @dataclass(frozen=True)
@@ -189,11 +182,13 @@ def raw_moments(z: AnalyticSeries) -> LagTimeMoments:
 def _lag_products(z: np.ndarray) -> np.ndarray:
     """The :func:`raw_moments` grid of each analytic record in a stack, shape ``(..., 2n-1, n)``."""
     n = z.shape[-1]
-    entries = np.zeros((*z.shape[:-1], 2 * n - 1, n), dtype=complex)
+    padded = np.zeros((*z.shape[:-1], 3 * n - 2), dtype=complex)
+    padded[..., n - 1 : 2 * n - 1] = z.conj()
     # an overflowing product is reported by LagTimeMoments as non-finite entries
     with np.errstate(over="ignore", invalid="ignore"):
-        # z[t] * conj(z[s]), each record's np.outer(z, z.conj()) product
-        _lag_view(entries)[...] = z[..., :, None] * z.conj()[..., None, :]
+        # row tau is z[t] * conj(z[t - tau]): z times a window of the zero-padded conj(z)
+        entries = z[..., None, :] * sliding_window_view(padded, n, axis=-1)[..., ::-1, :]
+    np.copyto(entries, 0.0, where=_off_support(n))  # a padding zero's product may be -0.0
     return entries
 
 

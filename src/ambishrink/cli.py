@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, NoReturn, get_type_hints
 
 import numpy as np
 
-from .ambiguity import check_delta, emaf, normalization, normalize
+from .ambiguity import LagTimeMoments, _emaf_rows, check_delta, emaf, normalization, normalize
 from .covariance import CORRECTIONS, assemble, correct
 from .diagnostics import qq_normalized_af, qq_ranks, risk_report, variance_reduction_probe
 from .procgen import (
@@ -199,6 +199,16 @@ def _write_fit(outdir: Path, emaf: np.ndarray, psi: tuple, qq: list[np.ndarray])
         write_matrix(outdir / name, table, trailing=[f"# component={tag}"])
 
 
+def _write_fit_files(outdir: Path, m_raw: LagTimeMoments, delta: float, psi: tuple) -> None:
+    """:func:`_write_fit` from ``m_raw``: its full EMAF and the QQ tables of that EMAF normalized."""
+    a_raw = emaf(m_raw)
+    a_norm = normalize(a_raw, normalization(m_raw.n, m_raw.dt, delta))
+    parts = qq_normalized_af(a_norm, psi[0])
+    del a_norm  # freed before emaf.mat is written
+    qq = [np.column_stack([q.theoretical_quantiles, q.sample_quantiles]) for q in parts]
+    _write_fit(outdir, a_raw.entries, psi, qq)
+
+
 def _write_estimate(
     outdir: Path, cfg: PipelineConfig, theta, af_eb, moments, cov, mineig: float, tfr
 ) -> None:
@@ -314,17 +324,16 @@ def _fork_beside(child: Callable[[], None], parent: Callable[[], None]) -> None:
 def run_analyze(cfg: PipelineConfig) -> int:
     """Estimate ``cfg.input`` into ``cfg.outdir``; return the exit code.
 
-    An unreadable record or an uncreatable directory is one ``error:`` line,
-    exit 2, and so is any estimate stage's failure, before any file of a
-    converged fit is written.  An all-zero record writes a zero estimate.  A
-    fit that does not converge writes the fit files and ``summary.txt``, exit
-    3.  A converged fit builds every array first; then, after the last BLAS
-    call, one forked child rebuilds the EMAF from ``m_raw`` (FFTs only) and
-    writes the fit files while this process writes the estimate files, so
-    the formatting takes both cores.  ``summary.txt`` is written last, once
-    both succeed.  A fork shuts OpenBLAS's thread pool down and the next BLAS
-    call restarts it, so a fork before ``correct`` would leave the restarted
-    workers spinning on the child's core.
+    An unreadable record, an uncreatable directory or a failed estimate stage
+    is one ``error:`` line, exit 2, before any file of a converged fit.  An
+    all-zero record writes a zero estimate.  An unconverged fit writes the
+    fit files and ``summary.txt``, exit 3.  A converged fit builds no full
+    grid here: ``af_eb`` is read off the EMAF of the lag rows that keep a
+    cell.  After the last BLAS call (a fork shuts OpenBLAS's pool down, and
+    a BLAS call restarts it spinning on the child's core) one forked child
+    builds the full EMAF, its normalized grid and the QQ tables and writes
+    the fit files, while this process writes the estimate files.
+    ``summary.txt`` is written last, once both succeed.
     """
     path = Path(cfg.input)
     preset = not path.exists()
@@ -357,24 +366,18 @@ def run_analyze(cfg: PipelineConfig) -> int:
 
     try:
         est = shrink(x, cfg.delta)
-        a_raw = emaf(est.m_raw)
-        a_norm = normalize(a_raw, normalization(n, x.dt, cfg.delta))
         p = est.params
         psi = (p.vbar, p.rho, p.sigma2, p.nll, p.iterations)
-        qq = [
-            np.column_stack([q.theoretical_quantiles, q.sample_quantiles])
-            for q in qq_normalized_af(a_norm, p.vbar)
-        ]
-        del a_norm
         if not est.converged:
-            _write_fit(outdir, a_raw.entries, psi, qq)
+            _write_fit_files(outdir, est.m_raw, cfg.delta, psi)
             _write_summary(outdir, cfg, x, preset, psi, None)
             print("error: mixture fit did not converge; best-so-far written", file=sys.stderr)
             return 3
         theta = est.theta.theta
         kept = np.nonzero(theta > 0)
-        af_eb = a_raw.entries[kept] * theta[kept]  # apply_threshold(a_raw, theta) at its kept cells
-        del a_raw  # freed before the covariance and the TFR are built
+        lags, row = np.unique(kept[0], return_inverse=True)
+        # apply_threshold(emaf(m_raw), theta) at its kept cells, from the kept lag rows' FFTs
+        af_eb = _emaf_rows(est.m_raw.entries[lags], x.dt)[row, kept[1]] * theta[kept]
         cov_est = assemble(est.m_eb)
         cov = correct(cov_est, cfg.correction)
         tfr = bilinear(est.m_eb, alpha=cfg.alpha, kernel=kernel).values
@@ -383,7 +386,7 @@ def run_analyze(cfg: PipelineConfig) -> int:
 
     mineig = cov.min_eigenvalue()
     _fork_beside(
-        lambda: _write_fit(outdir, emaf(est.m_raw).entries, psi, qq),
+        lambda: _write_fit_files(outdir, est.m_raw, cfg.delta, psi),
         lambda: _write_estimate(outdir, cfg, theta, af_eb, est.m_eb.entries, cov.entries, mineig, tfr),
     )
     estimate = (cov_est.min_eigenvalue(), mineig, np.mean(theta > 0))

@@ -13,6 +13,7 @@ from ambishrink.ambiguity import (
     NormalizationField,
     emaf,
     denormalize,
+    lag_matrix,
     lag_support_mask,
     normalization,
     normalize,
@@ -105,6 +106,21 @@ class TestRawMoments:
                 else:
                     expected = 0.0
                 assert m.entries[tau + 3, t] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("n", [2, 9, 64])
+    def test_grid_is_each_outer_product_through_lag_matrix_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        expected = np.zeros((3, 2 * n - 1, n), dtype=complex)
+        for z, grid in zip(stack, expected):
+            lag_matrix(grid)[...] = np.outer(z, z.conj())
+        grids = ambiguity._lag_products(stack)
+        np.testing.assert_array_equal(grids.view(np.uint64), expected.view(np.uint64))
+        one = raw_moments(AnalyticSeries(stack[1])).entries
+        np.testing.assert_array_equal(one.view(np.uint64), expected[1].view(np.uint64))
+        # a product with a zero can be -0.0; every cell off the lag support must be +0.0
+        off = grids.view(float).reshape(3, 2 * n - 1, n, 2)[:, ~lag_support_mask(n)]
+        assert not np.any(np.signbit(off))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_conjugate_lag_symmetry(self, seed):

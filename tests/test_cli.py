@@ -452,6 +452,44 @@ class TestAnalyzeMemory:
         # or a_raw or a_norm kept past emaf.mat and the QQ files, adds one unit each
         assert len(live) == 1 and live[0] <= 2.25 * unit
 
+    def test_traced_peak_of_a_whole_run(self, tmp_path):
+        n = 256
+        unit = (2 * n - 1) * 2 * n * 16  # one complex (2n-1, 2n) grid
+        argv = ["analyze", "--input", "aggregation512", "--n", str(n)]
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--outdir", str(tmp_path / "r")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the forked child builds the full EMAF, its normalized grid and the QQ tables; the
+        # parent builds no full ambiguity grid, and its peak (3.1 units) is in correct or bilinear
+        assert peak <= 3.25 * unit
+
+    def test_one_full_emaf_and_normalize_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(name):
+            stage = getattr(cli, name)
+
+            def stage_call(*args):
+                calls.append(name)
+                return stage(*args)
+
+            return stage_call
+
+        for name in ("emaf", "normalize"):
+            monkeypatch.setattr(cli, name, counted(name))
+        # the child's calls are counted only when the fit files are written in this process
+        monkeypatch.setattr(cli, "_fork_beside", lambda child, parent: (child(), parent()))
+        argv = ["analyze", "--input", "whitenoise", "--n", "32"]
+        assert main(argv + ["--outdir", str(tmp_path / "converged")]) == 0
+        assert sorted(calls) == ["emaf", "normalize"]
+        calls.clear()
+        monkeypatch.setattr("ambishrink.shrinkage._MAX_ITERATIONS", 1)
+        assert main(argv + ["--outdir", str(tmp_path / "unconverged")]) == 3
+        assert sorted(calls) == ["emaf", "normalize"]
+
 
 class TestRiskbench:
     def test_white_noise_benchmark_reports_variance_reduction(self, tmp_path):
