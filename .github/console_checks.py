@@ -30,6 +30,8 @@ CHECKS = [
     (["analyze", "--input", "whitenoise", "--n", "16", "--kernel", "hann:2", "--outdir", "{tmp}/z"], 2, 1),
     # an overflowing normalization field, refused by the first replicate before the variance probe
     (["riskbench", "whitenoise", "--reps", "1", "--dt", "1e-300", "--out", "{tmp}/wn.txt"], 2, 1),
+    # the variance probe, split between this process and a forked child
+    (["riskbench", "whitenoise", "--n", "16", "--reps", "1", "--out", "{tmp}/p.txt"], 0, 0),
 ]
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .ambiguity import LagTimeMoments, _emaf_rows, check_delta, emaf, normalization, normalize
 from .covariance import CORRECTIONS, assemble, correct
-from .diagnostics import qq_normalized_af, qq_ranks, risk_report, variance_reduction_probe
+from .diagnostics import _probe_block, _probe_entries, qq_normalized_af, qq_ranks, risk_report
 from .procgen import (
     AggregationProcess,
     TheoreticalCovariance,
@@ -263,21 +263,22 @@ def _write_summary(
         fh.writelines(f"{key}={value}\n" for key, value in items)
 
 
-def _fork_beside(child: Callable[[], None], parent: Callable[[], None]) -> None:
-    """Run ``child`` in a forked process while this one runs ``parent``; reap it; raise a failure.
+def _fork_beside(
+    child: Callable[[], object], parent: Callable[[], object]
+) -> tuple[object, object]:
+    """Run ``child`` in a forked process while this one runs ``parent``; return both results.
 
-    The child sends an exception it raises, pickled, down a pipe and always
-    leaves by ``os._exit``: it never returns into its caller's stack and
-    writes nothing to stderr.  This process reads the pipe to its end and
-    reaps the child on every path.  A failure of ``parent`` is the one
-    raised; otherwise the child's exception is re-raised here, and a child
-    that ends any other way than a clean exit raises ``OSError``.  Without
-    ``os.fork`` the two run in turn.
+    The child sends what ``child`` returns or raises, pickled, down a pipe,
+    and always leaves by ``os._exit``, with status 0 only once that report
+    is written whole: it never returns into its caller's stack and writes
+    nothing to stderr.  This process reads the pipe to its end and reaps the
+    child on every path.  A failure of ``parent`` is the one raised;
+    otherwise a child that ends any other way than a clean exit raises
+    ``OSError`` before its report is read, and an exception the child raised
+    is re-raised here.  Without ``os.fork`` the two run in turn.
     """
     if not hasattr(os, "fork"):
-        child()
-        parent()
-        return
+        return child(), parent()
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
         # Python >= 3.12 warns that fork with other threads alive may deadlock the child, and
@@ -296,29 +297,33 @@ def _fork_beside(child: Callable[[], None], parent: Callable[[], None]) -> None:
         code = 1
         try:
             os.close(read_fd)
-            with open(write_fd, "wb") as report:
-                try:
-                    child()
-                    code = 0
-                except BaseException as err:
-                    report.write(pickle.dumps(err))
+            try:
+                report = pickle.dumps((True, child()))
+            except BaseException as err:
+                report = pickle.dumps((False, err))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(report)
+            code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
     try:
-        parent()
+        parent_result = parent()
     finally:
         try:
-            with open(read_fd, "rb") as report:
-                failure = report.read()
+            with open(read_fd, "rb") as pipe:
+                report = pipe.read()
         finally:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if failure:
-        raise pickle.loads(failure)
+    # a child killed while it wrote leaves a truncated report: judge its exit first
     if status < 0:
-        raise OSError(f"fit-file writer killed by signal {-status} ({signal.strsignal(-status)})")
+        raise OSError(f"forked child killed by signal {-status} ({signal.strsignal(-status)})")
     if status > 0:
-        raise OSError(f"fit-file writer exited with status {status}")
+        raise OSError(f"forked child exited with status {status}")
+    returned, child_result = pickle.loads(report)
+    if not returned:
+        raise child_result
+    return child_result, parent_result
 
 
 def run_analyze(cfg: PipelineConfig) -> int:
@@ -397,6 +402,17 @@ def run_analyze(cfg: PipelineConfig) -> int:
 def run_riskbench(
     preset: str, reps: int, n: int, seed: int, dt: float, correction: str, out: str
 ) -> int:
+    """Write ``preset``'s risk ratios over ``reps`` replicates and the variance probe to ``out``.
+
+    The settings are checked before any fit runs, and the replicates before
+    the probe.  The probe is :func:`diagnostics.variance_reduction_probe` over
+    ``max(reps, 100)`` records, split at a block boundary between two
+    processes once the last replicate's ``correct`` has run (a fork shuts
+    OpenBLAS's pool down, and a BLAS call restarts it spinning): a forked
+    child runs the later half of its blocks while this process runs the
+    earlier half.  Each record is transformed on its own, so the report is
+    the single-process probe's bit for bit.
+    """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
     spec = _preset(preset)
@@ -411,8 +427,15 @@ def run_riskbench(
             est = shrink(spec.sample(n, seed + rep, dt))
             shrunk = correct(assemble(est.m_eb), correction)
             ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
-        var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), seed)
-    except ValueError as err:
+        probe = range(seed, seed + max(reps, 100))
+        starts = range(0, len(probe), _probe_block(n))  # where the probe's b blocks start
+        split = starts[len(starts) // 2]  # this process runs the first floor(b / 2)
+        (raw_late, eb_late), (raw_early, eb_early) = _fork_beside(
+            lambda: _probe_entries(n, probe[split:]), lambda: _probe_entries(n, probe[:split])
+        )
+        var_eb = float(np.var(np.concatenate((eb_early, eb_late))))
+        var_raw = float(np.var(np.concatenate((raw_early, raw_late))))
+    except (ValueError, OSError) as err:  # an OSError here is the fork's, not a write's
         return _fail(f"cannot run riskbench on {preset}: {err}")
     with open(out, "w") as fh:
         fh.write(f"# riskbench v1 preset={preset} n={n} reps={reps} seed={seed}\n")

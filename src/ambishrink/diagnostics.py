@@ -156,6 +156,32 @@ def risk_report(
     return RiskReport(err_grid, ratio)
 
 
+def _probe_block(n: int) -> int:
+    """Records per probe block: as many as fit their raw lag products in 2 MiB, at least one."""
+    return max(1, 2**21 // ((2 * n - 1) * n * np.dtype(complex).itemsize))
+
+
+def _probe_entries(n: int, seeds: range) -> tuple[np.ndarray, np.ndarray]:
+    """The probe's raw and shrunk entries of the white-noise records drawn with ``seeds``.
+
+    The records run in blocks of :func:`_probe_block` ``(n)``, counted from
+    the first of ``seeds``.  Returns ``(raw, shrunk)``, one entry per seed.
+    """
+    tau, t, dt = 5, max(n // 2, 5), 1.0
+    block = _probe_block(n)
+    raw_vals = np.empty(len(seeds), dtype=complex)
+    eb_vals = np.zeros(len(seeds), dtype=complex)
+    for start in range(0, len(seeds), block):
+        chunk = seeds[start : start + block]
+        samples = np.stack([gen_white_noise(n, seed=s, dt=dt).samples for s in chunk])
+        m_raw, _, _, live, rows = _shrunk_rows(samples, dt, 0.5, slice(tau, tau + 1))
+        raw_vals[start : start + len(chunk)] = m_raw[:, tau + n - 1, t]
+        del m_raw  # freed before the next block's head
+        # one lag row per record: live indexes the records whose row kept a cell
+        eb_vals[start + live] = rows[:, t]
+    return raw_vals, eb_vals
+
+
 def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float]:
     """Monte Carlo variance of one shrunk moment entry versus its raw value.
 
@@ -171,25 +197,15 @@ def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float
     A block holds as many records as fit their raw lag products in 2 MiB,
     and at least one: 16 at ``n = 64``, 4 at ``n = 128``, and one from
     ``n = 182`` up, where the probe runs record by record.  Every row is
-    transformed on its own, so the block size moves no bit.  A replicate
-    whose fit exhausts its search budget still contributes its best
-    parameters, so long runs do not abort on one stubborn draw.  Returns
-    ``(var_eb, var_raw)`` over the replicates.
+    transformed on its own, so the block size, and any split of the
+    replicates between calls of :func:`_probe_entries`, moves no bit.  A
+    replicate whose fit exhausts its search budget still contributes its
+    best parameters, so long runs do not abort on one stubborn draw.
+    Returns ``(var_eb, var_raw)`` over the replicates.
     """
     if reps < 100:
         raise ValueError(f"need at least 100 replicates, got {reps}")
     if n < 8:
         raise ValueError(f"series length must be at least 8, got {n}")
-    tau, t, dt = 5, max(n // 2, 5), 1.0
-    block = max(1, 2**21 // ((2 * n - 1) * n * np.dtype(complex).itemsize))
-    raw_vals = np.empty(reps, dtype=complex)
-    eb_vals = np.zeros(reps, dtype=complex)
-    for start in range(0, reps, block):
-        seeds = range(seed + start, seed + min(start + block, reps))
-        samples = np.stack([gen_white_noise(n, seed=s, dt=dt).samples for s in seeds])
-        m_raw, _, _, live, rows = _shrunk_rows(samples, dt, 0.5, slice(tau, tau + 1))
-        raw_vals[start : start + len(seeds)] = m_raw[:, tau + n - 1, t]
-        del m_raw  # freed before the next block's head
-        # one lag row per record: live indexes the records whose row kept a cell
-        eb_vals[start + live] = rows[:, t]
+    raw_vals, eb_vals = _probe_entries(n, range(seed, seed + reps))
     return float(np.var(eb_vals)), float(np.var(raw_vals))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver."""
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ import ambishrink.cli as cli
 import ambishrink.covariance as covariance
 from ambishrink.ambiguity import emaf, normalization, normalize
 from ambishrink.cli import PipelineConfig, main, run_analyze
+from ambishrink.diagnostics import variance_reduction_probe
 from ambishrink.procgen import gen_aggregation, gen_white_noise
 from ambishrink.series import TimeSeries, analytic_spectrum_weights
 from ambishrink.shrinkage import FitConvergenceError, ShrinkageParams, apply_threshold, shrink
@@ -578,6 +581,63 @@ class TestRiskbench:
         assert code == 2
         assert_one_error_line(capsys, "cannot write")
 
+    @pytest.mark.parametrize("reps", [1, 100, 157])
+    # one block of every record (n=8), blocks of 16 (n=64) and blocks of one record (n=200)
+    @pytest.mark.parametrize("n", [8, 64, 200])
+    def test_forked_probe_is_the_single_process_probe(self, tmp_path, n, reps):
+        out = tmp_path / "b.txt"
+        argv = ["riskbench", "whitenoise", "--n", str(n), "--reps", str(reps), "--seed", "3"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert_no_child_left()
+        line = out.read_text().splitlines()[-2]
+        got = {key: float(value).hex() for key, value in (part.split("=") for part in line.split())}
+        var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), 3)
+        assert got == {"var_eb": var_eb.hex(), "var_raw": var_raw.hex()}
+
+    def test_no_blas_call_after_the_fork(self, tmp_path, monkeypatch):
+        log = log_forks_and_blas_calls(monkeypatch)
+        argv = ["riskbench", "aggregation512", "--n", "64", "--reps", "3"]
+        assert main(argv + ["--out", str(tmp_path / "b.txt")]) == 0
+        # every replicate's correct runs before the fork; the probe makes no BLAS call
+        assert log.count("fork") == 1 and "blas" in log
+        assert log[-1] == "fork", log
+        assert_no_child_left()
+
+    def test_child_value_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        this_process, entries = os.getpid(), cli._probe_entries
+
+        def refuse_in_child(n, seeds):
+            if os.getpid() != this_process:
+                raise ValueError("probe refused")
+            return entries(n, seeds)
+
+        monkeypatch.setattr(cli, "_probe_entries", refuse_in_child)
+        out = tmp_path / "b.txt"
+        assert main(["riskbench", "whitenoise", "--n", "64", "--reps", "1", "--out", str(out)]) == 2
+        assert_no_child_left()
+        err = capsys.readouterr().err
+        assert err == "error: cannot run riskbench on whitenoise: probe refused\n"
+        assert not out.exists()
+
+    def test_child_killed_mid_report_names_its_signal(self, tmp_path, capsys, monkeypatch):
+        def half_dumps(outcome):
+            report = pickle.dumps(outcome)
+            return report[: len(report) // 2]
+
+        def killed(code):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        # the child writes the first half of its report, then dies at its exit
+        monkeypatch.setattr(cli, "pickle", SimpleNamespace(dumps=half_dumps, loads=pickle.loads))
+        monkeypatch.setattr(os, "_exit", killed)
+        out = tmp_path / "b.txt"
+        assert main(["riskbench", "whitenoise", "--n", "16", "--reps", "1", "--out", str(out)]) == 2
+        assert_no_child_left()
+        kill = signal.SIGKILL
+        killed_by = f"forked child killed by signal {int(kill)} ({signal.strsignal(kill)})"
+        assert capsys.readouterr().err == f"error: cannot run riskbench on whitenoise: {killed_by}\n"
+        assert not out.exists()
+
 
 class TestUnallocatableSize:
     # Each request is larger than the 128 TiB of a 47-bit user address space, so
@@ -637,7 +697,7 @@ class TestRiskbenchChecksFirst:
         def not_called(*args, **kwargs):
             raise AssertionError("ran before the settings were checked")
 
-        monkeypatch.setattr(cli, "variance_reduction_probe", not_called)
+        monkeypatch.setattr(cli, "_probe_entries", not_called)
         monkeypatch.setattr(cli, "_analytic_truth", not_called)
         out = tmp_path / "b.txt"
         argv = ["riskbench", "whitenoise", "--reps", "2", "--n", "128", flag, value]
@@ -656,7 +716,7 @@ class TestRiskbenchChecksFirst:
         def not_called(*args, **kwargs):
             raise AssertionError("the probe ran before the first replicate")
 
-        monkeypatch.setattr(cli, "variance_reduction_probe", not_called)
+        monkeypatch.setattr(cli, "_probe_entries", not_called)
         out = tmp_path / "b.txt"
         argv = ["riskbench", preset, "--reps", "1", "--n", "64", "--dt", dt, "--out", str(out)]
         assert main(argv) == 2
@@ -757,6 +817,24 @@ def assert_no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+def log_forks_and_blas_calls(monkeypatch) -> list[str]:
+    """Log each ``os.fork`` and each ``covariance._one_blas_thread`` call, in order."""
+    log = []
+    fork, one_blas_thread = os.fork, covariance._one_blas_thread
+
+    def logged_fork():
+        log.append("fork")
+        return fork()
+
+    def logged_one_blas_thread():
+        log.append("blas")
+        return one_blas_thread()
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    monkeypatch.setattr(covariance, "_one_blas_thread", logged_one_blas_thread)
+    return log
+
+
 class TestForkedFitWriter:
     """A converged run writes the fit files in a forked child beside the estimate files."""
 
@@ -803,19 +881,7 @@ class TestForkedFitWriter:
         assert err.startswith("error: cannot write output: ") and f"signal {int(signal.SIGKILL)}" in err
 
     def test_no_blas_call_after_the_fork(self, tmp_path, monkeypatch):
-        log = []
-        fork, one_blas_thread = os.fork, covariance._one_blas_thread
-
-        def logged_fork():
-            log.append("fork")
-            return fork()
-
-        def logged_one_blas_thread():
-            log.append("blas")
-            return one_blas_thread()
-
-        monkeypatch.setattr(os, "fork", logged_fork)
-        monkeypatch.setattr(covariance, "_one_blas_thread", logged_one_blas_thread)
+        log = log_forks_and_blas_calls(monkeypatch)
         assert main(self.ARGV + ["--outdir", str(tmp_path / "r")]) == 0
         assert log.count("fork") == 1 and "blas" in log
         assert log[-1] == "fork", log
