@@ -23,6 +23,7 @@ and ``summary.txt``, still are).
 from __future__ import annotations
 
 import argparse
+import mmap
 import os
 import pickle
 import signal
@@ -30,12 +31,12 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, NoReturn, get_type_hints
+from typing import Callable, Iterable, NamedTuple, NoReturn, get_type_hints
 
 import numpy as np
 
 from .ambiguity import LagTimeMoments, _emaf_rows, check_delta, emaf, normalization, normalize
-from .covariance import CORRECTIONS, assemble, correct
+from .covariance import CORRECTIONS, _one_blas_thread, assemble, correct
 from .diagnostics import _probe_block, _probe_entries, qq_normalized_af, qq_ranks, risk_report
 from .procgen import (
     AggregationProcess,
@@ -283,7 +284,8 @@ def _fork_beside(
     with warnings.catch_warnings():
         # Python >= 3.12 warns that fork with other threads alive may deadlock the child, and
         # the idle OpenBLAS pool is such threads.  The child is safe: it takes no lock another
-        # thread holds, makes no BLAS call, and ends with os._exit.
+        # thread holds, starts no BLAS thread (it makes no BLAS call, or makes them under a cap
+        # it inherits), and ends with os._exit.
         warnings.filterwarnings(
             "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
         )
@@ -399,19 +401,44 @@ def run_analyze(cfg: PipelineConfig) -> int:
     return 0
 
 
+def _run_probe_blocks(
+    n: int, probe: range, order: Iterable[int], claims: mmap.mmap, raw: np.ndarray, eb: np.ndarray
+) -> int:
+    """Run the probe blocks numbered ``order`` into ``raw`` and ``eb``; return the first record run.
+
+    Blocks are :func:`diagnostics._probe_block` ``(n)`` records of ``probe``.
+    Each is claimed in ``claims``, one byte per block shared with the other
+    process, before it runs, and the walk stops at the first block already
+    claimed.  Two processes that meet may both claim one block and run it
+    twice, with identical bits.  Returns ``len(probe)`` if no block ran.
+    """
+    size = _probe_block(n)
+    first = len(probe)
+    for block in order:
+        if claims[block]:
+            break
+        claims[block] = 1
+        first = block * size
+        span = slice(first, first + size)
+        raw[span], eb[span] = _probe_entries(n, probe[span])
+    return first
+
+
 def run_riskbench(
     preset: str, reps: int, n: int, seed: int, dt: float, correction: str, out: str
 ) -> int:
     """Write ``preset``'s risk ratios over ``reps`` replicates and the variance probe to ``out``.
 
-    The settings are checked before any fit runs, and the replicates before
-    the probe.  The probe is :func:`diagnostics.variance_reduction_probe` over
-    ``max(reps, 100)`` records, split at a block boundary between two
-    processes once the last replicate's ``correct`` has run (a fork shuts
-    OpenBLAS's pool down, and a BLAS call restarts it spinning): a forked
-    child runs the later half of its blocks while this process runs the
-    earlier half.  Each record is transformed on its own, so the report is
-    the single-process probe's bit for bit.
+    The settings are checked before any fit runs, and the first replicate
+    before the probe.  The probe is :func:`diagnostics.variance_reduction_probe`
+    over ``max(reps, 100)`` records, in its blocks.  Under one BLAS cap held
+    for the whole run (a fork shuts OpenBLAS's pools down, and a thread-count
+    call would start new workers that spin), a forked child runs the probe's
+    blocks from the last one back, while this process runs the other
+    replicates and then the blocks from the first one on, until the two meet
+    at a block the other has claimed.  Each record is transformed on its own,
+    so the report is the single-process probe's bit for bit, however the
+    blocks fall.
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
@@ -422,19 +449,34 @@ def run_riskbench(
     _check_seed(seed)
     try:
         truth = TheoreticalCovariance(_analytic_truth(spec.truth(n, dt).entries))
+        probe = range(seed, seed + max(reps, 100))
+        raw, eb = np.empty(len(probe), dtype=complex), np.empty(len(probe), dtype=complex)
         ratios = np.empty(reps)
-        for rep in range(reps):
+        blocks = range(-(-len(probe) // _probe_block(n)))  # ceil: the last block may be short
+
+        def replicate(rep: int) -> None:
             est = shrink(spec.sample(n, seed + rep, dt))
             shrunk = correct(assemble(est.m_eb), correction)
             ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
-        probe = range(seed, seed + max(reps, 100))
-        starts = range(0, len(probe), _probe_block(n))  # where the probe's b blocks start
-        split = starts[len(starts) // 2]  # this process runs the first floor(b / 2)
-        (raw_late, eb_late), (raw_early, eb_early) = _fork_beside(
-            lambda: _probe_entries(n, probe[split:]), lambda: _probe_entries(n, probe[:split])
-        )
-        var_eb = float(np.var(np.concatenate((eb_early, eb_late))))
-        var_raw = float(np.var(np.concatenate((raw_early, raw_late))))
+
+        def late() -> tuple[int, np.ndarray, np.ndarray]:
+            first = _run_probe_blocks(n, probe, reversed(blocks), claims, raw, eb)
+            return first, raw[first:], eb[first:]
+
+        def early() -> None:
+            try:
+                for rep in range(1, reps):
+                    replicate(rep)
+            except BaseException:
+                claims[:] = b"\1" * len(claims)  # the child stops after the block it runs
+                raise
+            _run_probe_blocks(n, probe, blocks, claims, raw, eb)
+
+        with _one_blas_thread(), mmap.mmap(-1, len(blocks)) as claims:
+            replicate(0)
+            (first, raw_late, eb_late), _ = _fork_beside(late, early)
+        raw[first:], eb[first:] = raw_late, eb_late
+        var_eb, var_raw = float(np.var(eb)), float(np.var(raw))
     except (ValueError, OSError) as err:  # an OSError here is the fork's, not a write's
         return _fail(f"cannot run riskbench on {preset}: {err}")
     with open(out, "w") as fh:

@@ -48,6 +48,9 @@ def _bundled_openblas() -> tuple[ctypes.CDLL, ...]:
     return tuple(libs)
 
 
+_capped = False  # whether a _one_blas_thread block is open in this process
+
+
 @contextmanager
 def _one_blas_thread() -> Iterator[None]:
     """Cap the OpenBLAS of scipy and of numpy at one thread for the calling thread inside the block.
@@ -57,12 +60,24 @@ def _one_blas_thread() -> Iterator[None]:
     pool's workers spin on a second core, during the call and after it, so
     either call takes up to twice the CPU time and, on a shared machine,
     more wall time too.
+
+    Only the outermost block sets the cap, and it restores the old counts
+    when it exits; a block nested in it, or run in a child forked inside it,
+    which inherits the cap, makes no OpenBLAS call.  That matters after a
+    fork: the fork shuts the pools down, and any thread-count call starts
+    new workers that spin.
     """
+    global _capped
+    if _capped:
+        yield
+        return
     libs = _bundled_openblas()
     previous = [lib.openblas_set_num_threads_local(1) for lib in libs]
+    _capped = True
     try:
         yield
     finally:
+        _capped = False
         for lib, count in zip(libs, previous):
             lib.openblas_set_num_threads_local(count)
 

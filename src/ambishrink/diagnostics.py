@@ -134,7 +134,8 @@ def risk_report(
     the truth magnitude floored at ``1e-12`` times its largest entry, so
     structural zeros in the truth do not blow up the picture.  The headline
     number is the ratio of Frobenius errors, shrunk over raw.  Neither
-    estimate is decomposed.
+    estimate is decomposed, and the norms are summed without BLAS, whose
+    threaded dot product rounds differently with the thread count.
     """
     t = truth.entries
     if est.entries.shape != t.shape or raw.entries.shape != t.shape:
@@ -145,8 +146,10 @@ def risk_report(
     peak = np.max(np.abs(t))
     scale = np.maximum(np.abs(t), 1e-12 * peak) if peak > 0 else np.ones_like(t, dtype=float)
     err_grid = np.abs(est.entries - t) / scale
-    num = float(np.linalg.norm(est.entries - t))
-    den = float(np.linalg.norm(raw.entries - t))
+    num, den = (
+        float(np.sqrt(np.sum(d.real * d.real + d.imag * d.imag)))
+        for d in (est.entries - t, raw.entries - t)
+    )
     if num == 0.0:
         ratio = 0.0
     elif den == 0.0:

@@ -594,14 +594,108 @@ class TestRiskbench:
         var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), 3)
         assert got == {"var_eb": var_eb.hex(), "var_raw": var_raw.hex()}
 
-    def test_no_blas_call_after_the_fork(self, tmp_path, monkeypatch):
-        log = log_forks_and_blas_calls(monkeypatch)
+    def test_no_thread_count_call_between_the_fork_and_the_join(self, tmp_path, monkeypatch):
+        log = tmp_path / "calls.log"
+        libs = covariance._bundled_openblas()
+
+        class Logged:
+            """One bundled OpenBLAS whose thread-count calls, in any process, go to ``log``."""
+
+            def __init__(self, lib):
+                self.lib = lib
+
+            def openblas_set_num_threads_local(self, count):
+                append_line(log, f"{os.getpid()} threads={count}")
+                return self.lib.openblas_set_num_threads_local(count)
+
+        fork, waitpid = os.fork, os.waitpid
+
+        def logged_fork():
+            append_line(log, f"{os.getpid()} fork")
+            return fork()
+
+        def logged_waitpid(pid, options):
+            append_line(log, f"{os.getpid()} join")
+            return waitpid(pid, options)
+
+        before = [lib.openblas_set_num_threads_local(1) for lib in libs]
+        for lib, count in zip(libs, before):
+            lib.openblas_set_num_threads_local(count)
+        monkeypatch.setattr(covariance, "_bundled_openblas", lambda: tuple(map(Logged, libs)))
+        monkeypatch.setattr(os, "fork", logged_fork)
+        monkeypatch.setattr(os, "waitpid", logged_waitpid)
         argv = ["riskbench", "aggregation512", "--n", "64", "--reps", "3"]
         assert main(argv + ["--out", str(tmp_path / "b.txt")]) == 0
-        # every replicate's correct runs before the fork; the probe makes no BLAS call
-        assert log.count("fork") == 1 and "blas" in log
-        assert log[-1] == "fork", log
+        # one cap for the whole run: every replicate's correct and both processes' probe blocks
+        # run inside it, and only this process sets it, before the fork, and lifts it after the join
+        events = ["threads=1"] * len(libs) + ["fork", "join"] + [f"threads={c}" for c in before]
+        assert log.read_text().splitlines() == [f"{os.getpid()} {event}" for event in events]
         assert_no_child_left()
+
+    def test_replicate_failing_after_the_fork_stops_the_child(self, tmp_path, capsys, monkeypatch):
+        log, shrink_record, entries = tmp_path / "blocks.log", cli.shrink, cli._probe_entries
+        shrunk = []
+
+        def refuse_the_second(x, *args):
+            shrunk.append(x.n)
+            if len(shrunk) == 2:
+                raise ValueError("replicate refused")
+            return shrink_record(x, *args)
+
+        def logged_entries(n, seeds):
+            append_line(log, str(os.getpid()))
+            return entries(n, seeds)
+
+        fork = os.fork
+
+        def logged_fork():
+            append_line(log, "fork")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", logged_fork)
+        monkeypatch.setattr(cli, "shrink", refuse_the_second)
+        monkeypatch.setattr(cli, "_probe_entries", logged_entries)
+        out = tmp_path / "b.txt"
+        # one record per block at n=256: 100 blocks of about 16 ms each
+        assert main(["riskbench", "whitenoise", "--n", "256", "--reps", "2", "--out", str(out)]) == 2
+        assert_no_child_left()
+        assert capsys.readouterr().err == "error: cannot run riskbench on whitenoise: replicate refused\n"
+        assert not out.exists()
+        # rep 1 failed after the fork, and this process claimed every block before it re-raised
+        lines = log.read_text().splitlines()
+        assert len(shrunk) == 2 and lines[0] == "fork"
+        assert str(os.getpid()) not in lines and len(lines) - 1 < 50, lines
+
+    @pytest.mark.parametrize("first", ["child", "parent"])
+    def test_one_side_running_every_block_writes_the_same_bytes(self, tmp_path, monkeypatch, first):
+        argv = ["riskbench", "aggregation512", "--n", "64", "--reps", "3", "--seed", "2", "--out"]
+        assert main(argv + [str(tmp_path / "forked.txt")]) == 0
+
+        def in_turn(child, parent):
+            if first == "child":
+                return child(), parent()
+            parent_result = parent()
+            return child(), parent_result
+
+        monkeypatch.setattr(cli, "_fork_beside", in_turn)
+        assert main(argv + [str(tmp_path / "one.txt")]) == 0
+        assert (tmp_path / "one.txt").read_bytes() == (tmp_path / "forked.txt").read_bytes()
+
+    def test_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = package_root + os.pathsep + inherited if inherited else package_root
+            out = tmp_path / f"threads{threads}.txt"
+            argv = ["riskbench", "whitenoise", "--n", "128", "--reps", "20", "--seed", "0"]
+            code = "import sys; from ambishrink.cli import main; sys.exit(main(sys.argv[1:]))"
+            command = [sys.executable, "-c", code, *argv, "--out", str(out)]
+            run = subprocess.run(command, env=env, capture_output=True, timeout=120)
+            assert run.returncode == 0 and run.stderr == b"", run.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_child_value_error_is_one_line(self, tmp_path, capsys, monkeypatch):
         this_process, entries = os.getpid(), cli._probe_entries
@@ -815,6 +909,12 @@ class TestWriteFailure:
 def assert_no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def append_line(path: Path, line: str) -> None:
+    """Append one line to ``path``; a forked child's lines land there too, before it exits."""
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
 
 
 def log_forks_and_blas_calls(monkeypatch) -> list[str]:

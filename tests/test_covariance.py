@@ -447,3 +447,28 @@ class TestOneBlasThread:
         one = [1] * len(libs)
         assert seen == [("eigh", one), ("product", one), ("eigh", one), ("eigh", one), ("eigh", one)]
         assert after == [[2] * len(libs)] * 4
+
+    def test_only_the_outermost_cap_calls_the_libraries(self, monkeypatch):
+        class Library:
+            """A thread-count setter that logs each call and returns the count it replaces."""
+
+            def __init__(self):
+                self.count, self.calls = 2, []
+
+            def openblas_set_num_threads_local(self, count):
+                self.calls.append(count)
+                self.count, previous = count, self.count
+                return previous
+
+        libs = (Library(), Library())
+        monkeypatch.setattr(covariance, "_bundled_openblas", lambda: libs)
+        for _ in range(2):  # a cap left by a failure would make the second pass call nothing
+            with pytest.raises(RuntimeError, match="inner failure"):
+                with covariance._one_blas_thread():
+                    with covariance._one_blas_thread():
+                        correct(random_hermitian(12, 1), "clip")
+                        assert [lib.calls for lib in libs] == [[1], [1]]
+                        raise RuntimeError("inner failure")
+            assert [(lib.calls, lib.count) for lib in libs] == [([1, 2], 2)] * 2
+            for lib in libs:
+                lib.calls.clear()
