@@ -32,6 +32,8 @@ CHECKS = [
     (["riskbench", "whitenoise", "--reps", "1", "--dt", "1e-300", "--out", "{tmp}/wn.txt"], 2, 1),
     # the variance probe, split between this process and a forked child
     (["riskbench", "whitenoise", "--n", "16", "--reps", "1", "--out", "{tmp}/p.txt"], 0, 0),
+    # one-record probe blocks, so the two walks claim every byte of the shared map
+    (["riskbench", "whitenoise", "--n", "200", "--reps", "1", "--out", "{tmp}/p200.txt"], 0, 0),
     # the replicates after the first, run beside the forked child under one BLAS cap
     (["riskbench", "aggregation512", "--n", "64", "--reps", "3", "--out", "{tmp}/a.txt"], 0, 0),
 ]

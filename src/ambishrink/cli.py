@@ -31,13 +31,13 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, NoReturn, get_type_hints
+from typing import Callable, NamedTuple, NoReturn, get_type_hints
 
 import numpy as np
 
 from .ambiguity import LagTimeMoments, _emaf_rows, check_delta, emaf, normalization, normalize
 from .covariance import CORRECTIONS, _one_blas_thread, assemble, correct
-from .diagnostics import _probe_block, _probe_entries, qq_normalized_af, qq_ranks, risk_report
+from .diagnostics import _probe_walk, qq_normalized_af, qq_ranks, risk_report
 from .procgen import (
     AggregationProcess,
     TheoreticalCovariance,
@@ -401,29 +401,6 @@ def run_analyze(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _run_probe_blocks(
-    n: int, probe: range, order: Iterable[int], claims: mmap.mmap, raw: np.ndarray, eb: np.ndarray
-) -> int:
-    """Run the probe blocks numbered ``order`` into ``raw`` and ``eb``; return the first record run.
-
-    Blocks are :func:`diagnostics._probe_block` ``(n)`` records of ``probe``.
-    Each is claimed in ``claims``, one byte per block shared with the other
-    process, before it runs, and the walk stops at the first block already
-    claimed.  Two processes that meet may both claim one block and run it
-    twice, with identical bits.  Returns ``len(probe)`` if no block ran.
-    """
-    size = _probe_block(n)
-    first = len(probe)
-    for block in order:
-        if claims[block]:
-            break
-        claims[block] = 1
-        first = block * size
-        span = slice(first, first + size)
-        raw[span], eb[span] = _probe_entries(n, probe[span])
-    return first
-
-
 def run_riskbench(
     preset: str, reps: int, n: int, seed: int, dt: float, correction: str, out: str
 ) -> int:
@@ -431,14 +408,14 @@ def run_riskbench(
 
     The settings are checked before any fit runs, and the first replicate
     before the probe.  The probe is :func:`diagnostics.variance_reduction_probe`
-    over ``max(reps, 100)`` records, in its blocks.  Under one BLAS cap held
-    for the whole run (a fork shuts OpenBLAS's pools down, and a thread-count
-    call would start new workers that spin), a forked child runs the probe's
-    blocks from the last one back, while this process runs the other
-    replicates and then the blocks from the first one on, until the two meet
-    at a block the other has claimed.  Each record is transformed on its own,
-    so the report is the single-process probe's bit for bit, however the
-    blocks fall.
+    over ``max(reps, 100)`` records, in the blocks of :func:`diagnostics._probe_walk`.
+    Under one BLAS cap held for the whole run (a fork shuts OpenBLAS's pools
+    down, and a thread-count call would start new workers that spin), a
+    forked child walks the blocks from the last one back, while this process
+    runs the other replicates and then walks them from the first one on,
+    until the two meet at a block the other has claimed in their shared map.
+    Each record is transformed on its own, so the report is the
+    single-process probe's bit for bit, however the blocks fall.
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
@@ -452,7 +429,6 @@ def run_riskbench(
         probe = range(seed, seed + max(reps, 100))
         raw, eb = np.empty(len(probe), dtype=complex), np.empty(len(probe), dtype=complex)
         ratios = np.empty(reps)
-        blocks = range(-(-len(probe) // _probe_block(n)))  # ceil: the last block may be short
 
         def replicate(rep: int) -> None:
             est = shrink(spec.sample(n, seed + rep, dt))
@@ -460,7 +436,7 @@ def run_riskbench(
             ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
 
         def late() -> tuple[int, np.ndarray, np.ndarray]:
-            first = _run_probe_blocks(n, probe, reversed(blocks), claims, raw, eb)
+            first = _probe_walk(n, probe, claims, raw, eb, backward=True)
             return first, raw[first:], eb[first:]
 
         def early() -> None:
@@ -470,9 +446,9 @@ def run_riskbench(
             except BaseException:
                 claims[:] = b"\1" * len(claims)  # the child stops after the block it runs
                 raise
-            _run_probe_blocks(n, probe, blocks, claims, raw, eb)
+            _probe_walk(n, probe, claims, raw, eb)
 
-        with _one_blas_thread(), mmap.mmap(-1, len(blocks)) as claims:
+        with _one_blas_thread(), mmap.mmap(-1, len(probe)) as claims:
             replicate(0)
             (first, raw_late, eb_late), _ = _fork_beside(late, early)
         raw[first:], eb[first:] = raw_late, eb_late

@@ -9,6 +9,7 @@ reduces the variance of a single moment estimate under white noise.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,30 +160,43 @@ def risk_report(
     return RiskReport(err_grid, ratio)
 
 
-def _probe_block(n: int) -> int:
-    """Records per probe block: as many as fit their raw lag products in 2 MiB, at least one."""
-    return max(1, 2**21 // ((2 * n - 1) * n * np.dtype(complex).itemsize))
-
-
 def _probe_entries(n: int, seeds: range) -> tuple[np.ndarray, np.ndarray]:
-    """The probe's raw and shrunk entries of the white-noise records drawn with ``seeds``.
+    """The probe's ``(raw, shrunk)`` entries of the white-noise records drawn with ``seeds``.
 
-    The records run in blocks of :func:`_probe_block` ``(n)``, counted from
-    the first of ``seeds``.  Returns ``(raw, shrunk)``, one entry per seed.
+    The records run as one stack; ``raw`` is a copy, so its lag products are freed on return.
     """
     tau, t, dt = 5, max(n // 2, 5), 1.0
-    block = _probe_block(n)
-    raw_vals = np.empty(len(seeds), dtype=complex)
+    samples = np.stack([gen_white_noise(n, seed=s, dt=dt).samples for s in seeds])
+    m_raw, _, _, live, rows = _shrunk_rows(samples, dt, 0.5, slice(tau, tau + 1))
     eb_vals = np.zeros(len(seeds), dtype=complex)
-    for start in range(0, len(seeds), block):
-        chunk = seeds[start : start + block]
-        samples = np.stack([gen_white_noise(n, seed=s, dt=dt).samples for s in chunk])
-        m_raw, _, _, live, rows = _shrunk_rows(samples, dt, 0.5, slice(tau, tau + 1))
-        raw_vals[start : start + len(chunk)] = m_raw[:, tau + n - 1, t]
-        del m_raw  # freed before the next block's head
-        # one lag row per record: live indexes the records whose row kept a cell
-        eb_vals[start + live] = rows[:, t]
-    return raw_vals, eb_vals
+    eb_vals[live] = rows[:, t]  # live indexes the records whose lag row kept a cell
+    return m_raw[:, tau + n - 1, t].copy(), eb_vals
+
+
+def _probe_walk(
+    n: int, seeds: range, claims: bytearray | mmap.mmap, raw: np.ndarray, eb: np.ndarray,
+    backward: bool = False,
+) -> int:
+    """Run the probe's blocks of ``seeds`` into ``raw`` and ``eb``; return the lowest record run.
+
+    A block is as many records as fit their raw lag products in 2 MiB, and
+    at least one, counted from the first of ``seeds``.  The walk goes from
+    the first block on, or with ``backward`` from the last one back.  It
+    claims each block at its first record's byte of ``claims`` before it
+    runs the block, and stops at the first block already claimed, so walks
+    that share ``claims`` split the blocks; where two meet both may run one
+    block, with identical bits.  Returns ``len(seeds)`` if no block ran.
+    """
+    size = max(1, 2**21 // ((2 * n - 1) * n * np.dtype(complex).itemsize))
+    first = len(seeds)
+    for start in range(0, len(seeds), size)[:: -1 if backward else 1]:
+        if claims[start]:
+            break
+        claims[start] = 1
+        first = min(first, start)
+        span = slice(start, start + size)
+        raw[span], eb[span] = _probe_entries(n, seeds[span])
+    return first
 
 
 def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float]:
@@ -196,19 +210,19 @@ def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float
     on lag row 5 alone, which gives the entry bit for bit as ``shrink``
     does.
 
-    The replicates run in blocks, each one stack of records for that chain.
-    A block holds as many records as fit their raw lag products in 2 MiB,
-    and at least one: 16 at ``n = 64``, 4 at ``n = 128``, and one from
-    ``n = 182`` up, where the probe runs record by record.  Every row is
-    transformed on its own, so the block size, and any split of the
-    replicates between calls of :func:`_probe_entries`, moves no bit.  A
-    replicate whose fit exhausts its search budget still contributes its
-    best parameters, so long runs do not abort on one stubborn draw.
+    The replicates run in the blocks of :func:`_probe_walk`, each one stack
+    of records for that chain: 16 records at ``n = 64``, 4 at ``n = 128``,
+    and one from ``n = 182`` up, where the probe runs record by record.
+    Every row is transformed on its own, so the block size, and any split of
+    the blocks between walks, moves no bit.  A replicate whose fit exhausts
+    its search budget still contributes its best parameters, so long runs do
+    not abort on one stubborn draw.
     Returns ``(var_eb, var_raw)`` over the replicates.
     """
     if reps < 100:
         raise ValueError(f"need at least 100 replicates, got {reps}")
     if n < 8:
         raise ValueError(f"series length must be at least 8, got {n}")
-    raw_vals, eb_vals = _probe_entries(n, range(seed, seed + reps))
-    return float(np.var(eb_vals)), float(np.var(raw_vals))
+    raw, eb = np.empty(reps, dtype=complex), np.empty(reps, dtype=complex)
+    _probe_walk(n, range(seed, seed + reps), bytearray(reps), raw, eb)
+    return float(np.var(eb)), float(np.var(raw))

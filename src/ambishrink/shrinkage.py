@@ -110,6 +110,10 @@ class FitConvergenceError(RuntimeError):
         super().__init__(message)
         self.best = best
 
+    def __reduce__(self) -> tuple[type, tuple[str, ShrinkageParams]]:
+        # unpickling calls the class with ``args``, which would leave out ``best``
+        return type(self), (self.args[0], self.best)
+
 
 def _log_density_terms(
     vbar: float, rho: float, sigma2: float, qsq: np.ndarray

@@ -19,6 +19,7 @@ from scipy.special import ndtri
 
 import ambishrink.cli as cli
 import ambishrink.covariance as covariance
+import ambishrink.diagnostics as diagnostics
 from ambishrink.ambiguity import emaf, normalization, normalize
 from ambishrink.cli import PipelineConfig, main, run_analyze
 from ambishrink.diagnostics import variance_reduction_probe
@@ -633,7 +634,8 @@ class TestRiskbench:
         assert_no_child_left()
 
     def test_replicate_failing_after_the_fork_stops_the_child(self, tmp_path, capsys, monkeypatch):
-        log, shrink_record, entries = tmp_path / "blocks.log", cli.shrink, cli._probe_entries
+        log, shrink_record = tmp_path / "blocks.log", cli.shrink
+        entries = diagnostics._probe_entries
         shrunk = []
 
         def refuse_the_second(x, *args):
@@ -654,7 +656,7 @@ class TestRiskbench:
 
         monkeypatch.setattr(os, "fork", logged_fork)
         monkeypatch.setattr(cli, "shrink", refuse_the_second)
-        monkeypatch.setattr(cli, "_probe_entries", logged_entries)
+        monkeypatch.setattr(diagnostics, "_probe_entries", logged_entries)
         out = tmp_path / "b.txt"
         # one record per block at n=256: 100 blocks of about 16 ms each
         assert main(["riskbench", "whitenoise", "--n", "256", "--reps", "2", "--out", str(out)]) == 2
@@ -681,6 +683,13 @@ class TestRiskbench:
         assert main(argv + [str(tmp_path / "one.txt")]) == 0
         assert (tmp_path / "one.txt").read_bytes() == (tmp_path / "forked.txt").read_bytes()
 
+    def test_run_without_fork_writes_the_forked_report(self, tmp_path, monkeypatch):
+        argv = ["riskbench", "aggregation512", "--n", "64", "--reps", "3", "--out"]
+        assert main(argv + [str(tmp_path / "forked.txt")]) == 0
+        monkeypatch.delattr(os, "fork")  # _fork_beside's fallback: the backward walk runs every block
+        assert main(argv + [str(tmp_path / "unforked.txt")]) == 0
+        assert (tmp_path / "unforked.txt").read_bytes() == (tmp_path / "forked.txt").read_bytes()
+
     def test_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         package_root = str(Path(cli.__file__).resolve().parents[1])
         inherited = os.environ.get("PYTHONPATH")
@@ -698,14 +707,14 @@ class TestRiskbench:
         assert reports[0] == reports[1]
 
     def test_child_value_error_is_one_line(self, tmp_path, capsys, monkeypatch):
-        this_process, entries = os.getpid(), cli._probe_entries
+        this_process, entries = os.getpid(), diagnostics._probe_entries
 
         def refuse_in_child(n, seeds):
             if os.getpid() != this_process:
                 raise ValueError("probe refused")
             return entries(n, seeds)
 
-        monkeypatch.setattr(cli, "_probe_entries", refuse_in_child)
+        monkeypatch.setattr(diagnostics, "_probe_entries", refuse_in_child)
         out = tmp_path / "b.txt"
         assert main(["riskbench", "whitenoise", "--n", "64", "--reps", "1", "--out", str(out)]) == 2
         assert_no_child_left()
@@ -791,7 +800,7 @@ class TestRiskbenchChecksFirst:
         def not_called(*args, **kwargs):
             raise AssertionError("ran before the settings were checked")
 
-        monkeypatch.setattr(cli, "_probe_entries", not_called)
+        monkeypatch.setattr(diagnostics, "_probe_entries", not_called)
         monkeypatch.setattr(cli, "_analytic_truth", not_called)
         out = tmp_path / "b.txt"
         argv = ["riskbench", "whitenoise", "--reps", "2", "--n", "128", flag, value]
@@ -810,7 +819,7 @@ class TestRiskbenchChecksFirst:
         def not_called(*args, **kwargs):
             raise AssertionError("the probe ran before the first replicate")
 
-        monkeypatch.setattr(cli, "_probe_entries", not_called)
+        monkeypatch.setattr(diagnostics, "_probe_entries", not_called)
         out = tmp_path / "b.txt"
         argv = ["riskbench", preset, "--reps", "1", "--n", "64", "--dt", dt, "--out", str(out)]
         assert main(argv) == 2
@@ -1010,9 +1019,11 @@ class TestForkedFitWriter:
         assert len(os.listdir("/dev/fd")) == before
         assert_one_error_line(capsys, "cannot write output: [Errno 11]")
 
+    WRITERS_ARGV = ["analyze", "--input", "aggregation512", "--n", "64", "--seed", "2"]
+    WRITERS_ARGV += ["--alpha", "0", "--kernel", "hann:5", "--correction", "shift"]
+
     def test_forked_run_equals_the_inline_writers(self, tmp_path, monkeypatch):
-        argv = ["analyze", "--input", "aggregation512", "--n", "64", "--seed", "2"]
-        argv += ["--alpha", "0", "--kernel", "hann:5", "--correction", "shift"]
+        argv = self.WRITERS_ARGV
         assert main(argv + ["--outdir", str(tmp_path / "forked")]) == 0
 
         def inline(child, parent):
@@ -1025,6 +1036,16 @@ class TestForkedFitWriter:
         for name in ARTIFACTS:
             forked, inlined = (tmp_path / run / name for run in ("forked", "inline"))
             assert forked.read_bytes() == inlined.read_bytes(), name
+
+    def test_run_without_fork_writes_the_forked_bytes(self, tmp_path, monkeypatch):
+        argv = self.WRITERS_ARGV
+        assert main(argv + ["--outdir", str(tmp_path / "forked")]) == 0
+        monkeypatch.delattr(os, "fork")  # _fork_beside's fallback runs the two sides in turn
+        assert main(argv + ["--outdir", str(tmp_path / "unforked")]) == 0
+        assert sorted(p.name for p in (tmp_path / "unforked").iterdir()) == sorted(ARTIFACTS)
+        for name in ARTIFACTS:
+            forked, unforked = (tmp_path / run / name for run in ("forked", "unforked"))
+            assert forked.read_bytes() == unforked.read_bytes(), name
 
 
 class TestErrorsNameTheirSetting:

@@ -10,6 +10,8 @@ from ambishrink.covariance import HermitianCovariance, assemble, correct, invert
 from ambishrink.diagnostics import (
     QQData,
     RiskReport,
+    _probe_entries,
+    _probe_walk,
     qq_normalized_af,
     risk_report,
     variance_reduction_probe,
@@ -301,3 +303,38 @@ class TestVarianceReductionProbe:
     def test_rejects_short_series(self):
         with pytest.raises(ValueError, match="length"):
             variance_reduction_probe(4, 100, 0)
+
+
+class TestProbeWalk:
+    SEEDS = range(3, 3 + 137)
+
+    @staticmethod
+    def unwritten() -> tuple[np.ndarray, np.ndarray]:
+        return np.full(137, np.nan, dtype=complex), np.full(137, np.nan, dtype=complex)
+
+    @pytest.mark.parametrize(
+        # 137 records are one block (n=8), eight blocks of 16 and one of 9 (n=64), or one-record
+        # blocks (n=200); each row names the first record of a middle block and of the next one
+        "n, middle, after",
+        [(8, 0, 137), (64, 64, 80), (200, 68, 69)],
+    )
+    def test_walks_meeting_at_a_claimed_block_equal_one_walk(self, n, middle, after):
+        raw, eb = self.unwritten()
+        claims = bytearray(len(self.SEEDS))
+        claims[middle] = 1
+        # each walk returns the lowest record it ran, or len(SEEDS) if it ran none
+        assert _probe_walk(n, self.SEEDS, claims, raw, eb, backward=True) == after
+        assert _probe_walk(n, self.SEEDS, claims, raw, eb) == (0 if middle else len(self.SEEDS))
+        assert np.isnan(raw[middle:after]).all() and np.isnan(eb[middle:after]).all()
+        raw[middle:after], eb[middle:after] = _probe_entries(n, self.SEEDS[middle:after])
+        raw_one, eb_one = self.unwritten()
+        assert _probe_walk(n, self.SEEDS, bytearray(len(self.SEEDS)), raw_one, eb_one) == 0
+        assert raw.tobytes() == raw_one.tobytes() and eb.tobytes() == eb_one.tobytes()
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("n", [8, 64, 200])
+    def test_walk_over_a_full_map_runs_nothing(self, n, backward):
+        raw, eb = self.unwritten()
+        claims = bytearray(b"\1" * len(self.SEEDS))
+        assert _probe_walk(n, self.SEEDS, claims, raw, eb, backward) == len(self.SEEDS)
+        assert np.isnan(raw).all() and np.isnan(eb).all()

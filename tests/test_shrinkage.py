@@ -1,5 +1,6 @@
 """Tests for the magnitude mixture fit and posterior-median thresholding."""
 
+import pickle
 import tracemalloc
 import warnings
 
@@ -320,6 +321,15 @@ class TestFit:
         assert best.nll == pytest.approx(objective(x)[0], rel=1e-12)
         assert best.nll < objective(x0)[0]
         assert best.iterations == 1
+
+    def test_convergence_error_survives_pickling(self):
+        # a forked child and a process pool both send a fit's failure back by pickle
+        best = ShrinkageParams(1.5, 0.25, 3.0, nll=12.5, iterations=7)
+        err = pickle.loads(pickle.dumps(FitConvergenceError("stopped without converging", best)))
+        assert type(err) is FitConvergenceError
+        assert str(err) == "stopped without converging"
+        assert err.args == ("stopped without converging",)
+        assert err.best == best
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_fit_cells_are_the_masked_central_block(self, n):
