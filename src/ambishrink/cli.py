@@ -29,7 +29,7 @@ import pickle
 import signal
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn, get_type_hints
 
@@ -277,46 +277,50 @@ def _fork_beside(
     otherwise a child that ends any other way than a clean exit raises
     ``OSError`` before its report is read, and an exception the child raised
     is re-raised here.  Without ``os.fork`` the two run in turn.
+
+    One BLAS cap covers both sides, from before the fork until after the
+    join: a fork shuts the OpenBLAS pools down, and a thread-count call on
+    either side would start workers that spin on the other's core.
     """
-    if not hasattr(os, "fork"):
-        return child(), parent()
-    read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns that fork with other threads alive may deadlock the child, and
-        # the idle OpenBLAS pool is such threads.  The child is safe: it takes no lock another
-        # thread holds, starts no BLAS thread (it makes no BLAS call, or makes them under a cap
-        # it inherits), and ends with os._exit.
-        warnings.filterwarnings(
-            "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
-        )
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
+    with _one_blas_thread():
+        if not hasattr(os, "fork"):
+            return child(), parent()
+        read_fd, write_fd = os.pipe()
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns that fork with other threads alive may deadlock the child, and
+            # the idle OpenBLAS pool is such threads.  The child is safe: it takes no lock another
+            # thread holds, starts no BLAS thread, and ends with os._exit.
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+            )
             try:
-                report = pickle.dumps((True, child()))
-            except BaseException as err:
-                report = pickle.dumps((False, err))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(report)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    try:
-        parent_result = parent()
-    finally:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                try:
+                    report = pickle.dumps((True, child()))
+                except BaseException as err:
+                    report = pickle.dumps((False, err))
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(report)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
         try:
-            with open(read_fd, "rb") as pipe:
-                report = pipe.read()
+            parent_result = parent()
         finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            try:
+                with open(read_fd, "rb") as pipe:
+                    report = pipe.read()
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     # a child killed while it wrote leaves a truncated report: judge its exit first
     if status < 0:
         raise OSError(f"forked child killed by signal {-status} ({signal.strsignal(-status)})")
@@ -331,16 +335,15 @@ def _fork_beside(
 def run_analyze(cfg: PipelineConfig) -> int:
     """Estimate ``cfg.input`` into ``cfg.outdir``; return the exit code.
 
-    An unreadable record, an uncreatable directory or a failed estimate stage
-    is one ``error:`` line, exit 2, before any file of a converged fit.  An
-    all-zero record writes a zero estimate.  An unconverged fit writes the
-    fit files and ``summary.txt``, exit 3.  A converged fit builds no full
-    grid here: ``af_eb`` is read off the EMAF of the lag rows that keep a
-    cell.  After the last BLAS call (a fork shuts OpenBLAS's pool down, and
-    a BLAS call restarts it spinning on the child's core) one forked child
-    builds the full EMAF, its normalized grid and the QQ tables and writes
-    the fit files, while this process writes the estimate files.
-    ``summary.txt`` is written last, once both succeed.
+    An unreadable record, an uncreatable directory or a record that
+    ``shrink`` refuses is one ``error:`` line, exit 2, before any file.  An
+    all-zero record writes a zero estimate, and an unconverged fit the fit
+    files and ``summary.txt``, exit 3.  After a converged fit, a forked
+    child writes the fit files (the full EMAF, its normalized grid, the QQ
+    tables), while this process runs the estimate stages, reading ``af_eb``
+    off the lag rows that keep a cell, and writes the estimate files.  A
+    stage that fails there is one ``error:`` line, exit 2, and the fit files
+    may remain.  ``summary.txt`` comes last, once both sides succeed.
     """
     path = Path(cfg.input)
     preset = not path.exists()
@@ -373,31 +376,32 @@ def run_analyze(cfg: PipelineConfig) -> int:
 
     try:
         est = shrink(x, cfg.delta)
-        p = est.params
-        psi = (p.vbar, p.rho, p.sigma2, p.nll, p.iterations)
+        psi = astuple(est.params)  # (vbar, rho, sigma2, nll, iterations)
         if not est.converged:
             _write_fit_files(outdir, est.m_raw, cfg.delta, psi)
             _write_summary(outdir, cfg, x, preset, psi, None)
             print("error: mixture fit did not converge; best-so-far written", file=sys.stderr)
             return 3
-        theta = est.theta.theta
-        kept = np.nonzero(theta > 0)
-        lags, row = np.unique(kept[0], return_inverse=True)
-        # apply_threshold(emaf(m_raw), theta) at its kept cells, from the kept lag rows' FFTs
-        af_eb = _emaf_rows(est.m_raw.entries[lags], x.dt)[row, kept[1]] * theta[kept]
-        cov_est = assemble(est.m_eb)
-        cov = correct(cov_est, cfg.correction)
-        tfr = bilinear(est.m_eb, alpha=cfg.alpha, kernel=kernel).values
     except ValueError as err:
         return _fail(f"cannot analyze {cfg.input}: {err}")
 
-    mineig = cov.min_eigenvalue()
-    _fork_beside(
-        lambda: _write_fit_files(outdir, est.m_raw, cfg.delta, psi),
-        lambda: _write_estimate(outdir, cfg, theta, af_eb, est.m_eb.entries, cov.entries, mineig, tfr),
-    )
-    estimate = (cov_est.min_eigenvalue(), mineig, np.mean(theta > 0))
-    _write_summary(outdir, cfg, x, preset, psi, estimate)
+    def estimate() -> tuple[float, float, float]:
+        theta = est.theta.theta
+        kept = np.nonzero(theta > 0)
+        lags, row = np.unique(kept[0], return_inverse=True)
+        try:
+            # apply_threshold(emaf(m_raw), theta) at its kept cells, from the kept lag rows' FFTs
+            af_eb = _emaf_rows(est.m_raw.entries[lags], x.dt)[row, kept[1]] * theta[kept]
+            cov_est = assemble(est.m_eb)
+            cov = correct(cov_est, cfg.correction)
+            tfr = bilinear(est.m_eb, alpha=cfg.alpha, kernel=kernel).values
+        except ValueError as err:  # reported by main, after the child is reaped
+            raise ValueError(f"cannot analyze {cfg.input}: {err}") from err
+        _write_estimate(outdir, cfg, theta, af_eb, est.m_eb.entries, cov.entries, cov.min_eigenvalue(), tfr)
+        return cov_est.min_eigenvalue(), cov.min_eigenvalue(), np.mean(theta > 0)
+
+    _, summary = _fork_beside(lambda: _write_fit_files(outdir, est.m_raw, cfg.delta, psi), estimate)
+    _write_summary(outdir, cfg, x, preset, psi, summary)
     return 0
 
 
@@ -409,13 +413,11 @@ def run_riskbench(
     The settings are checked before any fit runs, and the first replicate
     before the probe.  The probe is :func:`diagnostics.variance_reduction_probe`
     over ``max(reps, 100)`` records, in the blocks of :func:`diagnostics._probe_walk`.
-    Under one BLAS cap held for the whole run (a fork shuts OpenBLAS's pools
-    down, and a thread-count call would start new workers that spin), a
-    forked child walks the blocks from the last one back, while this process
-    runs the other replicates and then walks them from the first one on,
-    until the two meet at a block the other has claimed in their shared map.
-    Each record is transformed on its own, so the report is the
-    single-process probe's bit for bit, however the blocks fall.
+    After the first replicate, a forked child walks the blocks from the last
+    one back, while this process runs the other replicates and then walks
+    them from the first one on, until the two meet at a block the other has
+    claimed in their shared map.  Each record is transformed on its own, so
+    the report is the single-process probe's bit for bit, however the blocks fall.
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
@@ -448,7 +450,7 @@ def run_riskbench(
                 raise
             _probe_walk(n, probe, claims, raw, eb)
 
-        with _one_blas_thread(), mmap.mmap(-1, len(probe)) as claims:
+        with mmap.mmap(-1, len(probe)) as claims:
             replicate(0)
             (first, raw_late, eb_late), _ = _fork_beside(late, early)
         raw[first:], eb[first:] = raw_late, eb_late

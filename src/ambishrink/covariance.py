@@ -63,9 +63,7 @@ def _one_blas_thread() -> Iterator[None]:
 
     Only the outermost block sets the cap, and it restores the old counts
     when it exits; a block nested in it, or run in a child forked inside it,
-    which inherits the cap, makes no OpenBLAS call.  That matters after a
-    fork: the fork shuts the pools down, and any thread-count call starts
-    new workers that spin.
+    which inherits the cap, makes no OpenBLAS call.
     """
     global _capped
     if _capped:

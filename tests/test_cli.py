@@ -597,39 +597,13 @@ class TestRiskbench:
 
     def test_no_thread_count_call_between_the_fork_and_the_join(self, tmp_path, monkeypatch):
         log = tmp_path / "calls.log"
-        libs = covariance._bundled_openblas()
-
-        class Logged:
-            """One bundled OpenBLAS whose thread-count calls, in any process, go to ``log``."""
-
-            def __init__(self, lib):
-                self.lib = lib
-
-            def openblas_set_num_threads_local(self, count):
-                append_line(log, f"{os.getpid()} threads={count}")
-                return self.lib.openblas_set_num_threads_local(count)
-
-        fork, waitpid = os.fork, os.waitpid
-
-        def logged_fork():
-            append_line(log, f"{os.getpid()} fork")
-            return fork()
-
-        def logged_waitpid(pid, options):
-            append_line(log, f"{os.getpid()} join")
-            return waitpid(pid, options)
-
-        before = [lib.openblas_set_num_threads_local(1) for lib in libs]
-        for lib, count in zip(libs, before):
-            lib.openblas_set_num_threads_local(count)
-        monkeypatch.setattr(covariance, "_bundled_openblas", lambda: tuple(map(Logged, libs)))
-        monkeypatch.setattr(os, "fork", logged_fork)
-        monkeypatch.setattr(os, "waitpid", logged_waitpid)
+        cap, restore = log_thread_counts(monkeypatch, log)
         argv = ["riskbench", "aggregation512", "--n", "64", "--reps", "3"]
         assert main(argv + ["--out", str(tmp_path / "b.txt")]) == 0
-        # one cap for the whole run: every replicate's correct and both processes' probe blocks
-        # run inside it, and only this process sets it, before the fork, and lifts it after the join
-        events = ["threads=1"] * len(libs) + ["fork", "join"] + [f"threads={c}" for c in before]
+        # replicate 0's correct caps itself before the fork; one cap then covers the other
+        # replicates' correct and both processes' probe blocks, and only this process sets it,
+        # before the fork, and lifts it after the join
+        events = cap + restore + cap + ["fork", "join"] + restore
         assert log.read_text().splitlines() == [f"{os.getpid()} {event}" for event in events]
         assert_no_child_left()
 
@@ -926,22 +900,41 @@ def append_line(path: Path, line: str) -> None:
         fh.write(line + "\n")
 
 
-def log_forks_and_blas_calls(monkeypatch) -> list[str]:
-    """Log each ``os.fork`` and each ``covariance._one_blas_thread`` call, in order."""
-    log = []
-    fork, one_blas_thread = os.fork, covariance._one_blas_thread
+def log_thread_counts(monkeypatch, log: Path) -> tuple[list[str], list[str]]:
+    """Log each OpenBLAS thread-count call, ``os.fork`` and ``os.waitpid`` to ``log``, in any process.
+
+    Each line is ``<pid> <event>``.  Returns the events of setting the cap and of restoring
+    the counts found before it, one per bundled library.
+    """
+    libs = covariance._bundled_openblas()
+
+    class Logged:
+        """One bundled OpenBLAS whose thread-count calls go to ``log``."""
+
+        def __init__(self, lib):
+            self.lib = lib
+
+        def openblas_set_num_threads_local(self, count):
+            append_line(log, f"{os.getpid()} threads={count}")
+            return self.lib.openblas_set_num_threads_local(count)
+
+    fork, waitpid = os.fork, os.waitpid
 
     def logged_fork():
-        log.append("fork")
+        append_line(log, f"{os.getpid()} fork")
         return fork()
 
-    def logged_one_blas_thread():
-        log.append("blas")
-        return one_blas_thread()
+    def logged_waitpid(pid, options):
+        append_line(log, f"{os.getpid()} join")
+        return waitpid(pid, options)
 
+    before = [lib.openblas_set_num_threads_local(1) for lib in libs]
+    for lib, count in zip(libs, before):
+        lib.openblas_set_num_threads_local(count)
+    monkeypatch.setattr(covariance, "_bundled_openblas", lambda: tuple(map(Logged, libs)))
     monkeypatch.setattr(os, "fork", logged_fork)
-    monkeypatch.setattr(covariance, "_one_blas_thread", logged_one_blas_thread)
-    return log
+    monkeypatch.setattr(os, "waitpid", logged_waitpid)
+    return ["threads=1"] * len(libs), [f"threads={count}" for count in before]
 
 
 class TestForkedFitWriter:
@@ -989,12 +982,26 @@ class TestForkedFitWriter:
         err = self.failing_run(tmp_path, capsys, ())
         assert err.startswith("error: cannot write output: ") and f"signal {int(signal.SIGKILL)}" in err
 
-    def test_no_blas_call_after_the_fork(self, tmp_path, monkeypatch):
-        log = log_forks_and_blas_calls(monkeypatch)
-        assert main(self.ARGV + ["--outdir", str(tmp_path / "r")]) == 0
-        assert log.count("fork") == 1 and "blas" in log
-        assert log[-1] == "fork", log
+    @pytest.mark.parametrize("correction", ["clip", "shift"])
+    def test_no_thread_count_call_between_the_fork_and_the_join(self, tmp_path, monkeypatch, correction):
+        log = tmp_path / "calls.log"
+        cap, restore = log_thread_counts(monkeypatch, log)
+        argv = self.ARGV + ["--correction", correction, "--outdir", str(tmp_path / "r")]
+        assert main(argv) == 0
+        # shrink makes no thread-count call, and every estimate stage runs inside the one cap
+        events = cap + ["fork", "join"] + restore
+        assert log.read_text().splitlines() == [f"{os.getpid()} {event}" for event in events]
         assert_no_child_left()
+
+    @pytest.mark.parametrize("stage", ["_emaf_rows", "assemble", "correct", "bilinear"])
+    def test_stage_failing_beside_the_child_names_the_input(self, tmp_path, capsys, monkeypatch, stage):
+        def refuse(*args, **kwargs):
+            raise ValueError(f"{stage} refused")
+
+        monkeypatch.setattr(cli, stage, refuse)
+        err = self.failing_run(tmp_path, capsys, ())
+        assert err == f"error: cannot analyze whitenoise: {stage} refused\n"
+        assert (tmp_path / "r" / "psi.txt").exists()  # the child wrote the fit files beside it
 
     def test_threaded_fork_warning_is_ignored(self, tmp_path, monkeypatch):
         # what os.fork warns on Python >= 3.12 while other threads are alive
@@ -1021,21 +1028,6 @@ class TestForkedFitWriter:
 
     WRITERS_ARGV = ["analyze", "--input", "aggregation512", "--n", "64", "--seed", "2"]
     WRITERS_ARGV += ["--alpha", "0", "--kernel", "hann:5", "--correction", "shift"]
-
-    def test_forked_run_equals_the_inline_writers(self, tmp_path, monkeypatch):
-        argv = self.WRITERS_ARGV
-        assert main(argv + ["--outdir", str(tmp_path / "forked")]) == 0
-
-        def inline(child, parent):
-            child()
-            parent()
-
-        monkeypatch.setattr(cli, "_fork_beside", inline)
-        assert main(argv + ["--outdir", str(tmp_path / "inline")]) == 0
-        assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == sorted(ARTIFACTS)
-        for name in ARTIFACTS:
-            forked, inlined = (tmp_path / run / name for run in ("forked", "inline"))
-            assert forked.read_bytes() == inlined.read_bytes(), name
 
     def test_run_without_fork_writes_the_forked_bytes(self, tmp_path, monkeypatch):
         argv = self.WRITERS_ARGV
