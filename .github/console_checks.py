@@ -28,6 +28,8 @@ CHECKS = [
     ),
     # the shift correction, whose smallest-eigenvalue solve runs beside the forked child under its cap
     (["analyze", "--input", "aggregation512", "--n", "64", "--correction", "shift", "--outdir", "{tmp}/s"], 0, 0),
+    # the forked child's EMAF streamed in more than one block of lag rows
+    (["analyze", "--input", "aggregation512", "--n", "512", "--outdir", "{tmp}/b"], 0, 0),
     # a zero-energy window, refused before the fit
     (["analyze", "--input", "whitenoise", "--n", "16", "--kernel", "hann:2", "--outdir", "{tmp}/z"], 2, 1),
     # an overflowing normalization field, refused by the first replicate before the variance probe

@@ -35,9 +35,9 @@ from typing import Callable, NamedTuple, NoReturn, get_type_hints
 
 import numpy as np
 
-from .ambiguity import LagTimeMoments, _emaf_rows, check_delta, emaf, normalization, normalize
+from .ambiguity import _emaf_rows, _kappa, _normalized, check_delta
 from .covariance import CORRECTIONS, _one_blas_thread, assemble, correct
-from .diagnostics import _probe_walk, qq_normalized_af, qq_ranks, risk_report
+from .diagnostics import _probe_walk, _qq_data, qq_ranks, risk_report
 from .procgen import (
     AggregationProcess,
     TheoreticalCovariance,
@@ -50,9 +50,9 @@ from .procgen import (
     locally_stationary_process,
     theoretical_covariance,
 )
-from .series import TimeSeries, analytic_spectrum_weights, check_dt, check_n
-from .shrinkage import shrink
-from .textio import _fmt_real, format_psi_record, read_signal, write_matrix, write_signal
+from .series import TimeSeries, _finite, analytic_spectrum_weights, check_dt, check_n
+from .shrinkage import Shrunk, shrink
+from .textio import RowBlocks, _fmt_real, format_psi_record, read_signal, write_matrix, write_signal
 from .tfr import bilinear, check_alpha, window_bank
 
 __all__ = ["PipelineConfig", "main"]
@@ -181,53 +181,96 @@ def _smoothing_kernel(spec: str) -> np.ndarray | None:
     return profile / profile.sum()
 
 
-def _write_fit(outdir: Path, emaf: np.ndarray, psi: tuple, qq: list[np.ndarray]) -> None:
-    """Write the files a run has before its fit is judged: ``emaf.mat``, ``psi.txt``, QQ.
+def _write_fit(outdir: Path, psi: tuple, qq: list[np.ndarray]) -> None:
+    """Write ``psi.txt`` and the QQ tables, which with ``emaf.mat`` a run has before its fit is judged.
 
-    ``emaf`` is the full ``(2n-1, 2n)`` grid.  A record's EMAF is
-    point-symmetric, ``a(-tau, k) = exp(i pi k tau / n) conj a(tau, -k)``, so
-    ``emaf.mat`` holds only its ``n`` rows ``tau >= 0`` (a view, not a copy),
-    then a ``# half shape=<2n-1>x<2n>`` line naming the full grid.  ``psi``
-    is ``(vbar, rho, sigma2, nll, iterations)``; ``qq`` holds the
+    ``psi`` is ``(vbar, rho, sigma2, nll, iterations)``; ``qq`` holds the
     ``(theoretical, sample)`` quantile columns of the real and imaginary parts.
     """
-    rows, cols = emaf.shape
-    half = [f"# half shape={rows}x{cols}"]
-    write_matrix(outdir / "emaf.mat", emaf[cols // 2 - 1 :], trailing=half)
     with open(outdir / "psi.txt", "w") as fh:
         fh.write(format_psi_record(*psi) + "\n")
     for name, tag, table in zip(("qq_re.txt", "qq_im.txt"), ("real", "imaginary"), qq):
         write_matrix(outdir / name, table, trailing=[f"# component={tag}"])
 
 
-def _write_fit_files(outdir: Path, m_raw: LagTimeMoments, delta: float, psi: tuple) -> None:
-    """:func:`_write_fit` from ``m_raw``: its full EMAF and the QQ tables of that EMAF normalized."""
-    a_raw = emaf(m_raw)
-    a_norm = normalize(a_raw, normalization(m_raw.n, m_raw.dt, delta))
-    parts = qq_normalized_af(a_norm, psi[0])
-    del a_norm  # freed before emaf.mat is written
-    qq = [np.column_stack([q.theoretical_quantiles, q.sample_quantiles]) for q in parts]
-    _write_fit(outdir, a_raw.entries, psi, qq)
-
-
-def _write_estimate(
-    outdir: Path, cfg: PipelineConfig, theta, af_eb, moments, cov, mineig: float, tfr
+def _write_shrunk(
+    outdir: Path, theta: np.ndarray, kept: tuple, af_eb: np.ndarray, moments: np.ndarray
 ) -> None:
-    """Write the estimate files: ``theta``/``af_eb``, ``moments_eb``, ``cov_eb`` and ``tfr``.
+    """Write ``theta.mat`` and ``af_eb.mat`` at the cells ``kept``, and ``moments_eb.mat``.
 
-    ``theta.mat`` and ``af_eb.mat`` hold sparse rows of the cells with
-    theta > 0.  Each row is ``(tau, k, value)`` with ``tau``/``k`` as in
-    :meth:`AmbiguityGrid.at`, in row-major grid order; every other cell is
-    zero.  A trailing ``# dense shape=<rows>x<cols>`` line names the grid.
-    ``af_eb`` holds only the shrunk EMAF's values at those cells, in that order.
+    ``kept`` is ``np.nonzero(theta > 0)``.  Each row of the two sparse files
+    is ``(tau, k, value)`` with ``tau``/``k`` as in :meth:`AmbiguityGrid.at`,
+    in row-major grid order; every other cell is zero.  A trailing
+    ``# dense shape=<rows>x<cols>`` line names the grid.  ``af_eb`` holds
+    only the shrunk EMAF's values at those cells, in that order.
     """
-    rows, cols = np.nonzero(theta > 0)
+    rows, cols = kept
     n = theta.shape[1] // 2
     shape = [f"# dense shape={theta.shape[0]}x{theta.shape[1]}"]
-    for name, values in (("theta.mat", theta[rows, cols]), ("af_eb.mat", af_eb)):
+    for name, values in (("theta.mat", theta[kept]), ("af_eb.mat", af_eb)):
         table = np.column_stack([rows - (n - 1), cols - n, values])
         write_matrix(outdir / name, table, trailing=shape)
     write_matrix(outdir / "moments_eb.mat", moments)
+
+
+def _write_shrink_files(outdir: Path, est: Shrunk, delta: float) -> None:
+    """Write every file the ``shrink`` result ``est`` alone determines, from its EMAF in row blocks.
+
+    Those are ``emaf.mat``, ``psi.txt`` and the QQ tables, and once the fit
+    has converged ``theta.mat``, ``af_eb.mat`` and ``moments_eb.mat``
+    (:func:`_write_shrunk`).  The EMAF of ``est.m_raw`` is built in blocks
+    of as many lag rows as fit 1 MiB, and at least one, by
+    :func:`_emaf_rows`, :func:`_kappa` and :func:`_normalized`.  Each block
+    gives ``emaf.mat`` its rows ``tau >= 0``, ``af_eb`` its kept cells, and
+    the QQ parts its normalized coefficients bar the origin, all in
+    row-major order.  A row's FFT does not depend on the rows beside it, so
+    every file is the full grid's bit for bit, while no full raw or
+    normalized grid is held.
+
+    A record's EMAF is point-symmetric, ``a(-tau, k) = exp(i pi k tau / n)
+    conj a(tau, -k)``, so ``emaf.mat`` holds only its ``n`` rows ``tau >= 0``,
+    then a ``# half shape=<2n-1>x<2n>`` line naming the full grid.
+    """
+    m_raw, theta, psi = est.m_raw, est.theta.theta, astuple(est.params)
+    n, dt, grid_rows = m_raw.n, m_raw.dt, 2 * m_raw.n - 1
+    kept = np.nonzero(theta > 0)
+    gathered = np.empty(kept[0].size, dtype=complex)
+    parts = np.empty((2, grid_rows * 2 * n - 1))  # the QQ parts
+    origin = (n - 1) * 2 * n + n
+    size = max(1, 2**20 // (2 * n * np.dtype(complex).itemsize))
+
+    def block(start: int) -> np.ndarray:
+        """The rows ``tau >= 0`` of the EMAF's block from lag row ``start``, its cells taken."""
+        stop = min(start + size, grid_rows)
+        raw = _finite(_emaf_rows(m_raw.entries[start:stop], dt), "entries")
+        lo, hi = np.searchsorted(kept[0], (start, stop))
+        gathered[lo:hi] = raw[kept[0][lo:hi] - start, kept[1][lo:hi]]
+        kappa = _kappa(n, dt, delta, np.arange(start, stop) - (n - 1))
+        flat = _finite(_normalized(raw, kappa), "entries").ravel()
+        at, cut = start * 2 * n, origin - start * 2 * n  # cut: the origin's index in flat
+        if 0 <= cut < flat.size:
+            pieces = [(at, flat[:cut]), (origin, flat[cut + 1 :])]
+        else:
+            pieces = [(at - (cut < 0), flat)]  # past the origin, one cell earlier
+        for to, piece in pieces:
+            parts[0, to : to + piece.size] = piece.real
+            parts[1, to : to + piece.size] = piece.imag
+        return raw[max(n - 1 - start, 0) :]
+
+    blocks = map(block, range(0, grid_rows, size))  # each block freed before the next is built
+    half = [f"# half shape={grid_rows}x{2 * n}"]
+    write_matrix(outdir / "emaf.mat", RowBlocks(n, 2 * n, complex, blocks), trailing=half)
+    qq = [_qq_data(part, psi[0]) for part in parts]
+    _write_fit(outdir, psi, [np.column_stack([q.theoretical_quantiles, q.sample_quantiles]) for q in qq])
+    if est.converged:
+        # apply_threshold(emaf(m_raw), theta) at its kept cells
+        _write_shrunk(outdir, theta, kept, gathered * theta[kept], est.m_eb.entries)
+
+
+def _write_estimate(
+    outdir: Path, cfg: PipelineConfig, cov: np.ndarray, mineig: float, tfr: np.ndarray
+) -> None:
+    """Write the files of the parent's stages: ``cov_eb.mat`` and ``tfr.mat``."""
     trailer = f"# correction={cfg.correction} mineig={_fmt_real(mineig)}"
     write_matrix(outdir / "cov_eb.mat", cov, trailing=[trailer])
     trailer = f"# tfr alpha={_fmt_real(cfg.alpha)} kernel={cfg.kernel}"
@@ -339,11 +382,13 @@ def run_analyze(cfg: PipelineConfig) -> int:
     ``shrink`` refuses is one ``error:`` line, exit 2, before any file.  An
     all-zero record writes a zero estimate, and an unconverged fit the fit
     files and ``summary.txt``, exit 3.  After a converged fit, a forked
-    child writes the fit files (the full EMAF, its normalized grid, the QQ
-    tables), while this process runs the estimate stages, reading ``af_eb``
-    off the lag rows that keep a cell, and writes the estimate files.  A
-    stage that fails there is one ``error:`` line, exit 2, and the fit files
-    may remain.  ``summary.txt`` comes last, once both sides succeed.
+    child writes the seven files that the ``shrink`` result alone determines
+    (:func:`_write_shrink_files`), building the EMAF block by block of lag
+    rows, so it holds no full raw or normalized grid.  Meanwhile this
+    process runs ``assemble``, ``correct`` and ``bilinear`` and writes
+    ``cov_eb.mat`` and ``tfr.mat``.  A stage that fails there is one
+    ``error:`` line, exit 2, and the child's files may remain.
+    ``summary.txt`` comes last, once both sides succeed.
     """
     path = Path(cfg.input)
     preset = not path.exists()
@@ -368,9 +413,11 @@ def run_analyze(cfg: PipelineConfig) -> int:
         grid = np.zeros((2 * n - 1, 2 * n), dtype=complex)
         psi = (0.0, 0.0, 0.0, 0.0, 0)
         qq = np.zeros((qq_ranks(grid.size - 1).size, 2))
-        _write_fit(outdir, grid, psi, [qq, qq])
+        write_matrix(outdir / "emaf.mat", grid[n - 1 :], trailing=[f"# half shape={2 * n - 1}x{2 * n}"])
+        _write_fit(outdir, psi, [qq, qq])
         # theta keeps no cell; moments, covariance and TFR are zero blocks of the grid
-        _write_estimate(outdir, cfg, grid.real, grid[0, :0], grid[:, :n], grid[:n, :n], 0.0, grid[:n])
+        _write_shrunk(outdir, grid.real, np.nonzero(grid.real), grid[0, :0], grid[:, :n])
+        _write_estimate(outdir, cfg, grid[:n, :n], 0.0, grid[:n])
         _write_summary(outdir, cfg, x, preset, psi, (0.0, 0.0, 0.0))
         return 0
 
@@ -378,7 +425,7 @@ def run_analyze(cfg: PipelineConfig) -> int:
         est = shrink(x, cfg.delta)
         psi = astuple(est.params)  # (vbar, rho, sigma2, nll, iterations)
         if not est.converged:
-            _write_fit_files(outdir, est.m_raw, cfg.delta, psi)
+            _write_shrink_files(outdir, est, cfg.delta)
             _write_summary(outdir, cfg, x, preset, psi, None)
             print("error: mixture fit did not converge; best-so-far written", file=sys.stderr)
             return 3
@@ -386,21 +433,16 @@ def run_analyze(cfg: PipelineConfig) -> int:
         return _fail(f"cannot analyze {cfg.input}: {err}")
 
     def estimate() -> tuple[float, float, float]:
-        theta = est.theta.theta
-        kept = np.nonzero(theta > 0)
-        lags, row = np.unique(kept[0], return_inverse=True)
         try:
-            # apply_threshold(emaf(m_raw), theta) at its kept cells, from the kept lag rows' FFTs
-            af_eb = _emaf_rows(est.m_raw.entries[lags], x.dt)[row, kept[1]] * theta[kept]
             cov_est = assemble(est.m_eb)
             cov = correct(cov_est, cfg.correction)
             tfr = bilinear(est.m_eb, alpha=cfg.alpha, kernel=kernel).values
         except ValueError as err:  # reported by main, after the child is reaped
             raise ValueError(f"cannot analyze {cfg.input}: {err}") from err
-        _write_estimate(outdir, cfg, theta, af_eb, est.m_eb.entries, cov.entries, cov.min_eigenvalue(), tfr)
-        return cov_est.min_eigenvalue(), cov.min_eigenvalue(), np.mean(theta > 0)
+        _write_estimate(outdir, cfg, cov.entries, cov.min_eigenvalue(), tfr)
+        return cov_est.min_eigenvalue(), cov.min_eigenvalue(), np.mean(est.theta.theta > 0)
 
-    _, summary = _fork_beside(lambda: _write_fit_files(outdir, est.m_raw, cfg.delta, psi), estimate)
+    _, summary = _fork_beside(lambda: _write_shrink_files(outdir, est, cfg.delta), estimate)
     _write_summary(outdir, cfg, x, preset, psi, summary)
     return 0
 

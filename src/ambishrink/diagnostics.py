@@ -103,25 +103,24 @@ def qq_normalized_af(a: AmbiguityGrid, vbar: float) -> tuple[QQData, QQData]:
     """
     if not a.normalized:
         raise ValueError("qq_normalized_af expects a normalized grid")
-    if not (np.isfinite(vbar) and vbar > 0):
-        raise ValueError(f"vbar must be positive, got {vbar!r}")
     flat = a.entries.ravel()
     origin = (a.n - 1) * (2 * a.n) + (a.n)
-    count = flat.size - 1
+    # one real copy per part, half a complex grid at a time
+    parts = (flat.real, flat.imag)
+    return tuple(_qq_data(np.concatenate((p[:origin], p[origin + 1 :])), vbar) for p in parts)
+
+
+def _qq_data(values: np.ndarray, vbar: float) -> QQData:
+    """The :func:`qq_normalized_af` data of one part's off-origin ``values``, sorted in place."""
+    if not (np.isfinite(vbar) and vbar > 0):
+        raise ValueError(f"vbar must be positive, got {vbar!r}")
+    count = values.size
     if count < 10:
         raise ValueError(f"need at least 10 coefficients, got {count}")
-    scale = np.sqrt(vbar / 2.0)
     ranks = qq_ranks(count)
-    positions = ndtri((ranks + 0.5) / count)
-
-    def one(part: np.ndarray) -> QQData:
-        # one real copy per part, scaled and sorted in place: half a complex grid at a time
-        values = np.concatenate((part[:origin], part[origin + 1 :]))
-        values /= scale
-        values.sort()
-        return QQData(values[ranks], positions)
-
-    return one(flat.real), one(flat.imag)
+    values /= np.sqrt(vbar / 2.0)
+    values.sort()
+    return QQData(values[ranks], ndtri((ranks + 0.5) / count))
 
 
 def risk_report(

@@ -4,7 +4,8 @@ Matrix files ("ambimat v1") are line-oriented: one header, one
 comma-separated line per row, then optional trailing comment lines that are
 preserved verbatim.  Every value is written as ``%.17g`` (a complex value as
 ``%.17g%+.17gj``), so a parse/re-serialize cycle is byte-identical and values
-round-trip exactly; rows are formatted and streamed to the file one at a time.
+round-trip exactly; rows are formatted and streamed to the file one at a time,
+and a matrix given as :class:`RowBlocks` is built one block at a time too.
 A matrix may have zero rows.  The format stores tables and partial grids
 as well as grids: ``analyze`` writes its shrunk grids as ``(tau, k, value)``
 rows of the kept cells followed by a ``# dense shape=<rows>x<cols>`` line,
@@ -15,13 +16,15 @@ and the raw EMAF as its ``tau >= 0`` rows followed by a
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .series import TimeSeries
 
 __all__ = [
+    "RowBlocks",
     "write_matrix",
     "read_matrix",
     "write_signal",
@@ -40,40 +43,75 @@ def _fmt_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class RowBlocks(NamedTuple):
+    """A ``rows x cols`` matrix of ``dtype`` given as consecutive blocks of its rows.
+
+    :func:`write_matrix` draws, checks and writes one block at a time, so
+    no more than one block of the matrix need exist at once.
+    """
+
+    rows: int
+    cols: int
+    dtype: type
+    blocks: Iterable[np.ndarray]
+
+
+def _values(block: np.ndarray, cols: int, complex_: bool) -> np.ndarray:
+    """The finite 2-d ``block`` of ``cols`` columns as the real array its rows are formatted from."""
+    block = np.asarray(block)
+    if block.ndim != 2 or block.shape[1] != cols:
+        raise ValueError(f"expected a 2-d array of {cols} columns, got shape {block.shape}")
+    finite = np.isfinite(block)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite value {block[~finite][0]!r}")
+    if complex_:
+        return np.ascontiguousarray(block, dtype=complex).view(float)
+    return np.asarray(block, dtype=float)
+
+
 def write_matrix(
     path: str | os.PathLike,
-    array: np.ndarray,
+    array: np.ndarray | RowBlocks,
     trailing: Iterable[str] = (),
 ) -> None:
-    """Write a 2-d real or complex array as an ambimat v1 file.
+    """Write a 2-d real or complex array, or :class:`RowBlocks`, as an ambimat v1 file.
 
     ``trailing`` lines are appended after the data; each must already start
-    with ``#`` so the file stays parseable.
+    with ``#`` so the file stays parseable.  An array is checked before the
+    file is opened; a block is checked when it is drawn, so a bad block or a
+    wrong row count leaves the rows before it written.
     """
-    array = np.asarray(array)
-    if array.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {array.shape}")
-    rows, cols = array.shape
-    finite = np.isfinite(array)
-    if not finite.all():
-        raise ValueError(f"cannot serialize non-finite value {array[~finite][0]!r}")
+    if isinstance(array, RowBlocks):
+        rows, cols, dtype, blocks = array
+        complex_ = np.dtype(dtype).kind == "c"
+        blocks = map(partial(_values, cols=cols, complex_=complex_), blocks)
+    else:
+        array = np.asarray(array)
+        if array.ndim != 2:
+            raise ValueError(f"expected a 2-d array, got shape {array.shape}")
+        (rows, cols), complex_ = array.shape, np.iscomplexobj(array)
+        blocks = [_values(array, cols, complex_)]
     trailing = list(trailing)
     for comment in trailing:
         if not comment.startswith("#"):
             raise ValueError(f"trailing line must start with '#': {comment!r}")
-    if np.iscomplexobj(array):
-        kind, cell = "complex", "%.17g%+.17gj"
-        values = np.ascontiguousarray(array, dtype=complex).view(float)
-    else:
-        kind, cell = "real", "%.17g"
-        values = np.asarray(array, dtype=float)
+    kind, cell = ("complex", "%.17g%+.17gj") if complex_ else ("real", "%.17g")
     row_fmt = ",".join([cell] * cols) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{_MATRIX_MAGIC} {rows} {cols} {kind}\n")
-        for row in values:
-            fh.write(row_fmt % tuple(row.tolist()))
+        # map keeps no block, so each one is freed before the next is drawn
+        written = sum(map(partial(_write_rows, fh, row_fmt), blocks))
+        if written != rows:
+            raise ValueError(f"expected {rows} rows, got {written}")
         for comment in trailing:
             fh.write(comment + "\n")
+
+
+def _write_rows(fh, row_fmt: str, values: np.ndarray) -> int:
+    """Write each row of ``values`` through ``row_fmt``; return the row count."""
+    for row in values:
+        fh.write(row_fmt % tuple(row.tolist()))
+    return len(values)
 
 
 def read_matrix(path: str | os.PathLike) -> tuple[np.ndarray, list[str]]:

@@ -22,7 +22,7 @@ import ambishrink.covariance as covariance
 import ambishrink.diagnostics as diagnostics
 from ambishrink.ambiguity import emaf, normalization, normalize
 from ambishrink.cli import PipelineConfig, main, run_analyze
-from ambishrink.diagnostics import variance_reduction_probe
+from ambishrink.diagnostics import qq_normalized_af, variance_reduction_probe
 from ambishrink.procgen import gen_aggregation, gen_white_noise
 from ambishrink.series import TimeSeries, analytic_spectrum_weights
 from ambishrink.shrinkage import FitConvergenceError, ShrinkageParams, apply_threshold, shrink
@@ -471,28 +471,56 @@ class TestAnalyzeMemory:
         assert peak <= 3.25 * unit
 
     def test_one_full_emaf_and_normalize_per_run(self, tmp_path, monkeypatch):
-        calls = []
+        n = 200  # three blocks of lag rows
+        calls = {"_emaf_rows": [], "_normalized": []}
 
         def counted(name):
             stage = getattr(cli, name)
 
-            def stage_call(*args):
-                calls.append(name)
-                return stage(*args)
+            def stage_call(rows, *args):
+                calls[name].append(len(rows))
+                return stage(rows, *args)
 
             return stage_call
 
-        for name in ("emaf", "normalize"):
+        for name in calls:
             monkeypatch.setattr(cli, name, counted(name))
         # the child's calls are counted only when the fit files are written in this process
         monkeypatch.setattr(cli, "_fork_beside", lambda child, parent: (child(), parent()))
-        argv = ["analyze", "--input", "whitenoise", "--n", "32"]
+        argv = ["analyze", "--input", "whitenoise", "--n", str(n)]
         assert main(argv + ["--outdir", str(tmp_path / "converged")]) == 0
-        assert sorted(calls) == ["emaf", "normalize"]
-        calls.clear()
+        # each of the 2n - 1 lag rows is transformed and normalized once, in more than one block
+        assert calls["_emaf_rows"] == calls["_normalized"]
+        assert len(calls["_emaf_rows"]) > 1 and sum(calls["_emaf_rows"]) == 2 * n - 1
+        for rows in calls.values():
+            rows.clear()
         monkeypatch.setattr("ambishrink.shrinkage._MAX_ITERATIONS", 1)
         assert main(argv + ["--outdir", str(tmp_path / "unconverged")]) == 3
-        assert sorted(calls) == ["emaf", "normalize"]
+        assert calls["_emaf_rows"] == calls["_normalized"]
+        assert sum(calls["_emaf_rows"]) == 2 * n - 1
+
+    def test_traced_peak_of_the_child(self, tmp_path, monkeypatch):
+        n = 256
+        unit = (2 * n - 1) * 2 * n * 16  # one complex (2n-1, 2n) grid
+        peaks = []
+
+        def traced_child(child, parent):
+            # only what the child allocates is traced: its peak above what is live at the fork
+            tracemalloc.start()
+            try:
+                child()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return None, parent()
+
+        monkeypatch.setattr(cli, "_fork_beside", traced_child)
+        argv = ["analyze", "--input", "aggregation512", "--n", str(n)]
+        assert main(argv + ["--outdir", str(tmp_path / "r")]) == 0
+        # the QQ parts (1 unit) and one 1 MiB block of lag rows (0.25 unit) with its kappa and
+        # normalized rows: 1.79 units measured, bound with 0.21 to spare; a child that builds the
+        # full raw grid, kappa and the normalized grid (3.03 units) fails it
+        assert len(peaks) == 1 and peaks[0] <= 2.0 * unit
 
 
 class TestRiskbench:
@@ -938,9 +966,13 @@ def log_thread_counts(monkeypatch, log: Path) -> tuple[list[str], list[str]]:
 
 
 class TestForkedFitWriter:
-    """A converged run writes the fit files in a forked child beside the estimate files."""
+    """A converged run writes the files of its shrink result in a forked child, beside the rest."""
 
     ARGV = ["analyze", "--input", "whitenoise", "--n", "16"]
+    # what the shrink result alone determines
+    CHILD_FILES = (
+        "emaf.mat", "psi.txt", "qq_re.txt", "qq_im.txt", "theta.mat", "af_eb.mat", "moments_eb.mat"
+    )
 
     def failing_run(self, tmp_path, capsys, directories: tuple[str, ...]) -> str:
         outdir = tmp_path / "r"
@@ -975,10 +1007,10 @@ class TestForkedFitWriter:
         assert err.startswith("error: cannot write output: ") and "tfr.mat" in err, err
 
     def test_killed_child_names_its_signal(self, tmp_path, capsys, monkeypatch):
-        def die(outdir, emaf, psi, qq):
+        def die(*args):
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(cli, "_write_fit", die)
+        monkeypatch.setattr(cli, "_write_shrink_files", die)
         err = self.failing_run(tmp_path, capsys, ())
         assert err.startswith("error: cannot write output: ") and f"signal {int(signal.SIGKILL)}" in err
 
@@ -993,7 +1025,7 @@ class TestForkedFitWriter:
         assert log.read_text().splitlines() == [f"{os.getpid()} {event}" for event in events]
         assert_no_child_left()
 
-    @pytest.mark.parametrize("stage", ["_emaf_rows", "assemble", "correct", "bilinear"])
+    @pytest.mark.parametrize("stage", ["assemble", "correct", "bilinear"])
     def test_stage_failing_beside_the_child_names_the_input(self, tmp_path, capsys, monkeypatch, stage):
         def refuse(*args, **kwargs):
             raise ValueError(f"{stage} refused")
@@ -1001,7 +1033,34 @@ class TestForkedFitWriter:
         monkeypatch.setattr(cli, stage, refuse)
         err = self.failing_run(tmp_path, capsys, ())
         assert err == f"error: cannot analyze whitenoise: {stage} refused\n"
-        assert (tmp_path / "r" / "psi.txt").exists()  # the child wrote the fit files beside it
+        # the child wrote its files beside it
+        assert {path.name for path in (tmp_path / "r").iterdir()} == set(self.CHILD_FILES)
+
+    def test_each_side_writes_its_files(self, tmp_path, monkeypatch):
+        log = tmp_path / "files.log"
+        write = cli.write_matrix
+
+        def logged_write(path, array, trailing=()):
+            append_line(log, f"{os.getpid()} {Path(path).name}")
+            write(path, array, trailing)
+
+        def logged_open(path, *args, **kwargs):
+            if not isinstance(path, int):  # not the fork's pipe
+                append_line(log, f"{os.getpid()} {Path(path).name}")
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_matrix", logged_write)
+        monkeypatch.setattr(cli, "open", logged_open, raising=False)  # psi.txt and summary.txt
+        assert main(self.ARGV + ["--outdir", str(tmp_path / "r")]) == 0
+        assert_no_child_left()
+        written: dict[str, list[str]] = {}
+        for line in log.read_text().splitlines():
+            pid, name = line.split()
+            written.setdefault(pid, []).append(name)
+        parent = written.pop(str(os.getpid()))
+        assert sorted(parent) == ["cov_eb.mat", "summary.txt", "tfr.mat"]
+        ((_, child),) = written.items()
+        assert sorted(child) == sorted(self.CHILD_FILES)
 
     def test_threaded_fork_warning_is_ignored(self, tmp_path, monkeypatch):
         # what os.fork warns on Python >= 3.12 while other threads are alive
@@ -1161,6 +1220,27 @@ class TestHalfEmaf:
             data, trailing = read_matrix(tmp_path / name / "emaf.mat")
             assert data.shape == (32, 64)
             assert trailing == ["# half shape=63x64"]
+
+
+class TestStreamedEmaf:
+    @pytest.mark.parametrize("preset, n", [("aggregation512", 129), ("tvchirp", 200)])
+    def test_blocks_write_the_full_grid_files(self, tmp_path, preset, n):
+        # 2n - 1 lag rows in blocks of 1 MiB: two blocks at n = 129 (the origin in the first),
+        # three at n = 200 (the origin in the second)
+        outdir = tmp_path / "run"
+        assert main(["analyze", "--input", preset, "--n", str(n), "--outdir", str(outdir)]) == 0
+        est = shrink(cli._PRESETS[preset].sample(n, 0, 1.0))
+        a_raw = emaf(est.m_raw)
+        half, _ = read_matrix(outdir / "emaf.mat")
+        np.testing.assert_array_equal(half.view(np.uint64), a_raw.entries[n - 1 :].view(np.uint64))
+        af_eb = dense_from_sparse(outdir / "af_eb.mat")
+        expected = apply_threshold(a_raw, est.theta).entries
+        np.testing.assert_array_equal(af_eb.view(np.uint64), expected.view(np.uint64))
+        a_norm = normalize(a_raw, normalization(n, 1.0, 0.5))
+        for name, part in zip(("qq_re.txt", "qq_im.txt"), qq_normalized_af(a_norm, est.params.vbar)):
+            table = np.column_stack([part.theoretical_quantiles, part.sample_quantiles])
+            written, _ = read_matrix(outdir / name)
+            np.testing.assert_array_equal(written.view(np.uint64), table.view(np.uint64))
 
 
 class TestReadmeSnippets:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ambishrink.series import TimeSeries
 from ambishrink.textio import (
+    RowBlocks,
     format_psi_record,
     parse_psi_record,
     read_matrix,
@@ -121,6 +122,28 @@ class TestMatrixBytes:
         assert trailing == ["# dense shape=31x32"]
         write_matrix(p2, back, trailing=trailing)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_blocks_write_the_array_bytes(self, tmp_path, dtype):
+        a = np.random.default_rng(3).standard_normal((7, 4 if dtype is float else 8)).view(dtype)
+        whole, blocked = tmp_path / "whole.mat", tmp_path / "blocked.mat"
+        write_matrix(whole, a, trailing=["# half shape=13x4"])
+        blocks = RowBlocks(7, a.shape[1], dtype, (a[:3], a[3:3], a[3:]))
+        write_matrix(blocked, blocks, trailing=["# half shape=13x4"])
+        assert blocked.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [((np.ones((2, 3)),), "expected 3 rows, got 2"), ((np.ones((3, 2)),), "3 columns"),
+         ((np.ones((1, 3)), np.full((2, 3), np.nan)), "non-finite")],
+        ids=["short", "narrow", "nan"],
+    )
+    def test_bad_block_stops_the_write(self, tmp_path, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            write_matrix(tmp_path / "m.mat", RowBlocks(3, 3, float, blocks), trailing=["# end"])
+        assert "# end" not in (tmp_path / "m.mat").read_text()
 
 
 class TestMatrixErrors:
