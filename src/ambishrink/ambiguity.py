@@ -10,13 +10,20 @@ Grid conventions used throughout the package, for a series of length ``n``:
   identically zero.
 
 The ambiguity transform is a plain DFT along time of each lag row, scaled
-by ``dt``; one inverse DFT per row recovers the moments exactly.
+by ``dt``; one inverse DFT per row recovers the moments exactly.  A row's
+work does not depend on the rows beside it, so every grid stage runs in
+blocks of lag rows (:func:`_in_row_blocks`), with the same bits in any
+blocks.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cache
+from itertools import count
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -37,6 +44,71 @@ __all__ = [
     "lag_matrix",
     "check_delta",
 ]
+
+
+# A block of lag rows holds as many rows of complex cells as fit this many bytes, and at least one.
+_BLOCK_BYTES = 2**20
+
+_capped = False  # whether a covariance._one_blas_thread block is open: this process then uses one core
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """The blocks of ``rows`` lag rows of ``width`` complex cells each, in order."""
+    size = max(1, _BLOCK_BYTES // (width * np.dtype(complex).itemsize))
+    return [slice(start, min(start + size, rows)) for start in range(0, rows, size)]
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _in_row_blocks(fill: Callable[[slice], object], rows: int, width: int) -> None:
+    """Call ``fill`` on each of the :func:`_row_blocks` of ``rows`` lag rows, on two threads.
+
+    ``fill(block)`` writes the lag rows ``block`` of a preallocated output
+    and reads nothing another block writes.  The calling thread and one
+    ``threading.Thread`` take blocks from a shared counter until none is
+    left; the thread is joined before this returns or raises.  An exception
+    raised in a block stops both after their current block and is raised
+    here, the caller's own first.  ``fill`` runs once, on all rows and on
+    the calling thread, when they fit one block, when the process has one
+    usable CPU, or while a ``covariance._one_blas_thread`` cap is open:
+    under that cap the process uses one core, and a fork beside it finds no
+    helper thread.
+    """
+    blocks = _row_blocks(rows, width)
+    if len(blocks) <= 1 or _capped or _usable_cpus() < 2:
+        fill(slice(0, rows))
+        return
+    claims, lock, failed, errstate = count(), threading.Lock(), [], np.geterr()
+
+    def drain() -> None:
+        while not failed:
+            with lock:
+                i = next(claims)
+            if i >= len(blocks):
+                return
+            fill(blocks[i])
+
+    def beside() -> None:
+        try:
+            with np.errstate(**errstate):  # the caller's floating-point error handling
+                drain()
+        except BaseException as err:  # raised by the caller after the join
+            failed.append(err)
+
+    worker = threading.Thread(target=beside)
+    worker.start()
+    try:
+        drain()
+    except BaseException as err:
+        failed.insert(0, err)  # stops the worker after its block
+        raise
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def check_delta(delta: float) -> float:
@@ -184,24 +256,35 @@ def _lag_products(z: np.ndarray) -> np.ndarray:
     n = z.shape[-1]
     padded = np.zeros((*z.shape[:-1], 3 * n - 2), dtype=complex)
     padded[..., n - 1 : 2 * n - 1] = z.conj()
-    # an overflowing product is reported by LagTimeMoments as non-finite entries
-    with np.errstate(over="ignore", invalid="ignore"):
-        # row tau is z[t] * conj(z[t - tau]): z times a window of the zero-padded conj(z)
-        entries = z[..., None, :] * sliding_window_view(padded, n, axis=-1)[..., ::-1, :]
-    np.copyto(entries, 0.0, where=_off_support(n))  # a padding zero's product may be -0.0
+    # row tau is z[t] * conj(z[t - tau]): z times a window of the zero-padded conj(z)
+    windows = sliding_window_view(padded, n, axis=-1)[..., ::-1, :]
+    entries = np.empty((*z.shape[:-1], 2 * n - 1, n), dtype=complex)
+    off = _off_support(n)
+
+    def fill(rows: slice) -> None:
+        # an overflowing product is reported by LagTimeMoments as non-finite entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(z[..., None, :], windows[..., rows, :], out=entries[..., rows, :])
+        np.copyto(entries[..., rows, :], 0.0, where=off[rows])  # a padding zero's product may be -0.0
+
+    _in_row_blocks(fill, 2 * n - 1, 2 * z.size)
     return entries
 
 
 def _emaf_rows(rows: np.ndarray, dt: float) -> np.ndarray:
     """The :func:`emaf` coefficients of any stack of lag rows, each transformed on its own."""
     n = rows.shape[-1]
-    # a non-finite or overflowing coefficient is reported by AmbiguityGrid as a non-finite entry
-    with np.errstate(over="ignore", invalid="ignore"):
-        spectra = np.fft.fft(rows, n=2 * n, axis=-1)
-        # fftshift and the dt scale in one pass: column k + n holds bin k mod 2n
-        shifted = np.empty_like(spectra)
-        np.multiply(dt, spectra[..., n:], out=shifted[..., :n])
-        np.multiply(dt, spectra[..., :n], out=shifted[..., n:])
+    shifted = np.empty((*rows.shape[:-1], 2 * n), dtype=complex)
+
+    def fill(block: slice) -> None:
+        # a non-finite or overflowing coefficient is reported by AmbiguityGrid as a non-finite entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectra = np.fft.fft(rows[..., block, :], n=2 * n, axis=-1)
+            # fftshift and the dt scale in one pass: column k + n holds bin k mod 2n
+            np.multiply(dt, spectra[..., n:], out=shifted[..., block, :n])
+            np.multiply(dt, spectra[..., :n], out=shifted[..., block, n:])
+
+    _in_row_blocks(fill, rows.shape[-2], shifted[..., 0, :].size)
     return shifted
 
 
@@ -216,11 +299,19 @@ def emaf(m: LagTimeMoments) -> AmbiguityGrid:
 
 def _kappa(n: int, dt: float, delta: float, taus: np.ndarray) -> np.ndarray:
     """The :func:`normalization` field on the lag rows ``taus`` alone, for checked arguments."""
-    span = (n - np.abs(taus[:, None])).astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
         nus = np.abs(np.arange(-n, n))[None, :] / (2 * n * dt)
         band = np.maximum(1.0 / (2 * dt) - nus, 1.0 / (2 * n * dt))
-        return span ** (4 * delta - 1) * band / dt
+    kappa = np.empty((len(taus), 2 * n))
+
+    def fill(rows: slice) -> None:
+        span = (n - np.abs(taus[rows, None])).astype(float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(span ** (4 * delta - 1), band, out=kappa[rows])
+            np.divide(kappa[rows], dt, out=kappa[rows])
+
+    _in_row_blocks(fill, len(taus), 2 * n)
+    return kappa
 
 
 def normalization(n: int, dt: float = 1.0, delta: float = 0.5) -> NormalizationField:
@@ -241,8 +332,14 @@ def normalization(n: int, dt: float = 1.0, delta: float = 0.5) -> NormalizationF
 
 def _normalized(entries: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     """Coefficients divided by ``sqrt(kappa)``, cell by cell, on any rows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _emaf_rows
-        return entries / np.sqrt(kappa)
+    out = np.empty_like(entries)
+
+    def fill(rows: slice) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _emaf_rows
+            np.divide(entries[..., rows, :], np.sqrt(kappa[rows]), out=out[..., rows, :])
+
+    _in_row_blocks(fill, entries.shape[-2], entries[..., 0, :].size)
+    return out
 
 
 def normalize(a: AmbiguityGrid, f: NormalizationField) -> AmbiguityGrid:

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, NoReturn, get_type_hints
 
 import numpy as np
 
-from .ambiguity import _emaf_rows, _kappa, _normalized, check_delta
+from .ambiguity import _emaf_rows, _kappa, _normalized, _row_blocks, check_delta
 from .covariance import CORRECTIONS, _one_blas_thread, assemble, correct
 from .diagnostics import _probe_walk, _qq_data, qq_ranks, risk_report
 from .procgen import (
@@ -218,9 +218,9 @@ def _write_shrink_files(outdir: Path, est: Shrunk, delta: float) -> None:
 
     Those are ``emaf.mat``, ``psi.txt`` and the QQ tables, and once the fit
     has converged ``theta.mat``, ``af_eb.mat`` and ``moments_eb.mat``
-    (:func:`_write_shrunk`).  The EMAF of ``est.m_raw`` is built in blocks
-    of as many lag rows as fit 1 MiB, and at least one, by
-    :func:`_emaf_rows`, :func:`_kappa` and :func:`_normalized`.  Each block
+    (:func:`_write_shrunk`).  The EMAF of ``est.m_raw`` is built in the
+    blocks of the grid stages, as many lag rows as fit 1 MiB and at least
+    one, by :func:`_emaf_rows`, :func:`_kappa` and :func:`_normalized`.  Each block
     gives ``emaf.mat`` its rows ``tau >= 0``, ``af_eb`` its kept cells, and
     the QQ parts its normalized coefficients bar the origin, all in
     row-major order.  A row's FFT does not depend on the rows beside it, so
@@ -237,12 +237,11 @@ def _write_shrink_files(outdir: Path, est: Shrunk, delta: float) -> None:
     gathered = np.empty(kept[0].size, dtype=complex)
     parts = np.empty((2, grid_rows * 2 * n - 1))  # the QQ parts
     origin = (n - 1) * 2 * n + n
-    size = max(1, 2**20 // (2 * n * np.dtype(complex).itemsize))
 
-    def block(start: int) -> np.ndarray:
-        """The rows ``tau >= 0`` of the EMAF's block from lag row ``start``, its cells taken."""
-        stop = min(start + size, grid_rows)
-        raw = _finite(_emaf_rows(m_raw.entries[start:stop], dt), "entries")
+    def block(rows: slice) -> np.ndarray:
+        """The rows ``tau >= 0`` of the EMAF's lag rows ``rows``, their cells taken."""
+        start, stop = rows.start, rows.stop
+        raw = _finite(_emaf_rows(m_raw.entries[rows], dt), "entries")
         lo, hi = np.searchsorted(kept[0], (start, stop))
         gathered[lo:hi] = raw[kept[0][lo:hi] - start, kept[1][lo:hi]]
         kappa = _kappa(n, dt, delta, np.arange(start, stop) - (n - 1))
@@ -257,7 +256,7 @@ def _write_shrink_files(outdir: Path, est: Shrunk, delta: float) -> None:
             parts[1, to : to + piece.size] = piece.imag
         return raw[max(n - 1 - start, 0) :]
 
-    blocks = map(block, range(0, grid_rows, size))  # each block freed before the next is built
+    blocks = map(block, _row_blocks(grid_rows, 2 * n))  # each block freed before the next is built
     half = [f"# half shape={grid_rows}x{2 * n}"]
     write_matrix(outdir / "emaf.mat", RowBlocks(n, 2 * n, complex, blocks), trailing=half)
     qq = [_qq_data(part, psi[0]) for part in parts]

@@ -20,7 +20,8 @@ import numpy as np
 import scipy
 from scipy.linalg import eigh
 
-from .ambiguity import AmbiguityGrid, LagTimeMoments, _off_support, lag_matrix
+from . import ambiguity
+from .ambiguity import AmbiguityGrid, LagTimeMoments, _in_row_blocks, _off_support, lag_matrix
 from .series import _finite
 
 __all__ = ["CORRECTIONS", "HermitianCovariance", "invert_af", "assemble", "correct"]
@@ -48,9 +49,6 @@ def _bundled_openblas() -> tuple[ctypes.CDLL, ...]:
     return tuple(libs)
 
 
-_capped = False  # whether a _one_blas_thread block is open in this process
-
-
 @contextmanager
 def _one_blas_thread() -> Iterator[None]:
     """Cap the OpenBLAS of scipy and of numpy at one thread for the calling thread inside the block.
@@ -63,21 +61,41 @@ def _one_blas_thread() -> Iterator[None]:
 
     Only the outermost block sets the cap, and it restores the old counts
     when it exits; a block nested in it, or run in a child forked inside it,
-    which inherits the cap, makes no OpenBLAS call.
+    which inherits the cap, makes no OpenBLAS call.  It is the one rule of
+    one core per process: while it is open, the grid stages run their row
+    blocks inline (:func:`ambiguity._in_row_blocks`).
     """
-    global _capped
-    if _capped:
+    if ambiguity._capped:
         yield
         return
     libs = _bundled_openblas()
     previous = [lib.openblas_set_num_threads_local(1) for lib in libs]
-    _capped = True
+    ambiguity._capped = True
     try:
         yield
     finally:
-        _capped = False
+        ambiguity._capped = False
         for lib, count in zip(libs, previous):
             lib.openblas_set_num_threads_local(count)
+
+
+# Rows per panel of the n x n passes that read a transpose: a panel's transposed read
+# is 64 columns wide, so it stays in cache while its rows are written.
+_PANEL = 64
+
+
+def _panels(n: int) -> range:
+    return range(0, n, _PANEL)
+
+
+def _hermitian_part(b: np.ndarray) -> np.ndarray:
+    """``0.5 * (b + b.conj().T)`` bit for bit, a panel of rows at a time."""
+    out = np.empty(b.shape, dtype=complex)
+    for i in _panels(len(b)):
+        rows = slice(i, i + _PANEL)
+        np.add(b[rows], b[:, rows].conj().T, out=out[rows])
+        np.multiply(0.5, out[rows], out=out[rows])
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,7 +116,12 @@ class HermitianCovariance:
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
         _finite(entries, "entries")
-        if np.max(np.abs(entries - entries.conj().T)) > 1e-10 * np.max(np.abs(entries)):
+        # max|entries - entries^H|, a panel of rows at a time
+        gap = max(
+            np.max(np.abs(entries[i : i + _PANEL] - entries[:, i : i + _PANEL].conj().T))
+            for i in _panels(len(entries))
+        )
+        if gap > 1e-10 * np.max(np.abs(entries)):
             raise ValueError("entries are not Hermitian")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "n", entries.shape[0])
@@ -143,16 +166,20 @@ def invert_af(a: AmbiguityGrid) -> LagTimeMoments:
     """
     if a.normalized:
         raise ValueError("grid is normalized; denormalize before inverting")
-    live, rows = _inverted_rows(a.entries, a.dt, _off_support(a.n))
-    entries = np.zeros((2 * a.n - 1, a.n), dtype=complex)
-    entries[live] = rows
+    n, off = a.n, _off_support(a.n)
+    entries = np.zeros((2 * n - 1, n), dtype=complex)
+
+    def fill(block: slice) -> None:
+        live, rows = _inverted_rows(a.entries[block], a.dt, off[block])
+        entries[block][live] = rows
+
+    _in_row_blocks(fill, 2 * n - 1, 2 * n)
     return LagTimeMoments(entries, dt=a.dt)
 
 
 def assemble(m: LagTimeMoments) -> HermitianCovariance:
     """Arrange moments as ``B[t, t - tau] = m[tau, t]`` and keep the Hermitian part."""
-    b = lag_matrix(m.entries)
-    return HermitianCovariance(0.5 * (b + b.conj().T))
+    return HermitianCovariance(_hermitian_part(lag_matrix(m.entries)))
 
 
 def _known_min(c: HermitianCovariance, low: float) -> HermitianCovariance:
@@ -195,4 +222,4 @@ def correct(c: HermitianCovariance, method: str = "clip") -> HermitianCovariance
         entries = c.entries - (vecs[:, neg] * lam[neg]) @ vecs[:, neg].conj().T
     low = float(lam[0])
     _known_min(c, low)
-    return _known_min(HermitianCovariance(0.5 * (entries + entries.conj().T)), max(low, 0.0))
+    return _known_min(HermitianCovariance(_hermitian_part(entries)), max(low, 0.0))

@@ -26,6 +26,7 @@ from .ambiguity import (
     LagTimeMoments,
     NormalizationField,
     _emaf_rows,
+    _in_row_blocks,
     _kappa,
     _lag_products,
     _normalized,
@@ -497,9 +498,12 @@ def _posterior_log_odds(params: ShrinkageParams, q: np.ndarray) -> np.ndarray:
     ``1 / vbar`` overflows once ``vbar`` is subnormal, so the odds are
     evaluated in units of ``vbar``, where ``vbar`` is 1.
     """
-    qsq = (q / np.sqrt(params.vbar)) ** 2
     wide = 1.0 + params.sigma2 / params.vbar
-    return logit(params.rho) - np.log(wide) + (1.0 - 1.0 / wide) * qsq
+    # logit(rho) - log(wide) + (1 - 1 / wide) (q / sqrt(vbar))^2, in one buffer
+    d = np.divide(q, np.sqrt(params.vbar), out=np.empty(np.shape(q)))
+    np.square(d, out=d)
+    np.multiply(1.0 - 1.0 / wide, d, out=d)
+    return np.add(logit(params.rho) - np.log(wide), d, out=d)
 
 
 def posterior_rho(params: ShrinkageParams, qhat: float | np.ndarray) -> float | np.ndarray:
@@ -525,26 +529,34 @@ def threshold_field(params: ShrinkageParams, a: AmbiguityGrid) -> ThresholdField
     """
     if not a.normalized:
         raise ValueError("threshold_field expects a normalized grid")
-    theta = _theta(params, np.abs(a.entries))
+    theta = _theta(params, a.entries, np.empty(a.entries.shape))
     theta[a.n - 1, a.n] = 1.0
     return ThresholdField(theta, dt=a.dt)
 
 
-def _theta(params: ShrinkageParams, q: np.ndarray) -> np.ndarray:
-    """The :func:`threshold_field` rule on the magnitudes ``q`` of any rows, bar the origin, written over ``q``."""
+def _theta(params: ShrinkageParams, entries: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The :func:`threshold_field` rule on the magnitudes of any rows ``entries``, bar the origin.
+
+    It is written into ``out``, a float array of their shape, in row blocks.
+    """
     vbar, sigma2 = params.vbar, params.sigma2
-    d = _posterior_log_odds(params, q)
-    # rho_post > 1/2, which keeping needs, holds only where the log-odds are positive
-    rows, cols = np.nonzero(d > 0)
-    qc, rho_post = q[rows, cols], expit(d[rows, cols])
     lam = sigma2 / (sigma2 + vbar)
-    eta = ndtr(-np.sqrt(2.0 * lam) * qc / np.sqrt(vbar))
-    keep = (rho_post * (1.0 - eta) > 0.5) & (qc > 0)
-    qk = qc[keep]
-    qmed = lam * qk + np.sqrt(lam * vbar / 2.0) * ndtri(1.0 - 1.0 / (2.0 * rho_post[keep]))
-    q.fill(0.0)
-    q[rows[keep], cols[keep]] = np.clip(qmed / qk, 0.0, 1.0)
-    return q
+
+    def fill(block: slice) -> None:
+        q = np.abs(entries[block], out=out[block])
+        d = _posterior_log_odds(params, q)
+        # rho_post > 1/2, which keeping needs, holds only where the log-odds are positive
+        rows, cols = np.nonzero(d > 0)
+        qc, rho_post = q[rows, cols], expit(d[rows, cols])
+        eta = ndtr(-np.sqrt(2.0 * lam) * qc / np.sqrt(vbar))
+        keep = (rho_post * (1.0 - eta) > 0.5) & (qc > 0)
+        qk = qc[keep]
+        qmed = lam * qk + np.sqrt(lam * vbar / 2.0) * ndtri(1.0 - 1.0 / (2.0 * rho_post[keep]))
+        q.fill(0.0)
+        q[rows[keep], cols[keep]] = np.clip(qmed / qk, 0.0, 1.0)
+
+    _in_row_blocks(fill, len(out), out.shape[-1])
+    return out
 
 
 def apply_threshold(a: AmbiguityGrid, t: ThresholdField) -> AmbiguityGrid:
@@ -555,9 +567,14 @@ def apply_threshold(a: AmbiguityGrid, t: ThresholdField) -> AmbiguityGrid:
 
 def _attenuate(entries: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The :func:`apply_threshold` product on any rows: kept cells times theta, else ``+0.0``."""
-    kept = theta > 0
     out = np.zeros_like(entries)
-    out[kept] = entries[kept] * theta[kept]
+
+    def fill(rows: slice) -> None:
+        block, factors = entries[..., rows, :], theta[..., rows, :]
+        kept = factors > 0
+        out[..., rows, :][kept] = block[kept] * factors[kept]
+
+    _in_row_blocks(fill, entries.shape[-2], entries[..., 0, :].size)
     return out
 
 
@@ -664,7 +681,7 @@ def _shrunk_rows(
     # made after the fits: their per-cell buffers set the peak, and theta beside them raised it
     theta = np.empty((len(samples), rows.stop - rows.start, 2 * n))
     for (params, _), record, out in zip(fits, a_norm, theta):
-        _theta(params, np.abs(record[rows], out=out))
+        _theta(params, record[rows], out)
     del a_norm
     if rows.start == 0:
         theta[:, 0, n] = 1.0  # the origin carries the record's energy and is never shrunk

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ambiguity import AmbiguityGrid, LagTimeMoments
+from .ambiguity import AmbiguityGrid, LagTimeMoments, _in_row_blocks
 from .series import AnalyticSeries, check_dt
 
 __all__ = [
@@ -79,14 +79,22 @@ def _lag_axis_transform(rows: np.ndarray, n: int, dt: float) -> np.ndarray:
     ``rows`` has one row per lag ``tau in [-(n-1), n-1]``; the result has one
     C-contiguous row per column of ``rows``, frequencies ``j in [-n, n)`` along it.
     Lags are placed modulo ``2 n`` along the last axis so a single FFT evaluates
-    ``sum_tau rows[tau] exp(-2 pi i j tau / (2 n))`` exactly.
+    ``sum_tau rows[tau] exp(-2 pi i j tau / (2 n))`` exactly.  The result's
+    rows are made in blocks (:func:`ambiguity._in_row_blocks`).
     """
-    padded = np.zeros(rows.shape[1:] + (2 * n,), dtype=complex)
-    padded[:, :n] = rows[n - 1 :].T
-    padded[:, n + 1 :] = rows[: n - 1].T
-    padded = np.fft.fft(padded, axis=-1)
-    shifted = np.fft.fftshift(padded, axes=-1)
-    return np.multiply(dt, shifted, out=shifted)  # dt first: x *= dt gives underflowed zeros other signs
+    out = np.empty((rows.shape[1], 2 * n), dtype=complex)
+
+    def fill(block: slice) -> None:
+        padded = out[block]  # the block's rows hold the zero-padded lag rows, then the result
+        padded[:, :n] = rows[n - 1 :, block].T
+        padded[:, n] = 0.0
+        padded[:, n + 1 :] = rows[: n - 1, block].T
+        spectra = np.fft.fft(padded, axis=-1)
+        padded[:, :n], padded[:, n:] = spectra[:, n:], spectra[:, :n]  # the fftshift
+        np.multiply(dt, padded, out=padded)  # dt first: x *= dt gives underflowed zeros other signs
+
+    _in_row_blocks(fill, len(out), 2 * n)
+    return out
 
 
 def _interpolated_moment_rows(m: LagTimeMoments, alpha: float) -> np.ndarray:

@@ -5,6 +5,8 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -17,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+import ambishrink.ambiguity as ambiguity
 import ambishrink.cli as cli
 import ambishrink.covariance as covariance
 import ambishrink.diagnostics as diagnostics
@@ -929,10 +932,11 @@ def append_line(path: Path, line: str) -> None:
 
 
 def log_thread_counts(monkeypatch, log: Path) -> tuple[list[str], list[str]]:
-    """Log each OpenBLAS thread-count call, ``os.fork`` and ``os.waitpid`` to ``log``, in any process.
+    """Log each OpenBLAS thread-count call, ``os.fork``, ``os.waitpid`` and ``threading.Thread.start``.
 
-    Each line is ``<pid> <event>``.  Returns the events of setting the cap and of restoring
-    the counts found before it, one per bundled library.
+    They go to ``log``, from any process, one ``<pid> <event>`` line each; a
+    started thread is the event ``thread``.  Returns the events of setting the
+    cap and of restoring the counts found before it, one per bundled library.
     """
     libs = covariance._bundled_openblas()
 
@@ -956,13 +960,64 @@ def log_thread_counts(monkeypatch, log: Path) -> tuple[list[str], list[str]]:
         append_line(log, f"{os.getpid()} join")
         return waitpid(pid, options)
 
+    start = threading.Thread.start
+
+    def logged_start(thread):
+        append_line(log, f"{os.getpid()} thread")
+        return start(thread)
+
     before = [lib.openblas_set_num_threads_local(1) for lib in libs]
     for lib, count in zip(libs, before):
         lib.openblas_set_num_threads_local(count)
     monkeypatch.setattr(covariance, "_bundled_openblas", lambda: tuple(map(Logged, libs)))
     monkeypatch.setattr(os, "fork", logged_fork)
     monkeypatch.setattr(os, "waitpid", logged_waitpid)
+    monkeypatch.setattr(threading.Thread, "start", logged_start)
     return ["threads=1"] * len(libs), [f"threads={count}" for count in before]
+
+
+class TestOneCoreBesideTheFork:
+    """No helper thread is started between a fork and its join, in either process."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # shrink runs its 300 lag rows in three blocks before the fork
+            ["analyze", "--input", "aggregation512", "--n", "300", "--outdir", "{tmp}/r"],
+            # replicate 0's shrink runs two blocks before the fork; the probe runs beside it
+            ["riskbench", "whitenoise", "--n", "200", "--reps", "1", "--out", "{tmp}/b.txt"],
+        ],
+        ids=["analyze", "riskbench"],
+    )
+    def test_threads_only_outside_the_fork(self, tmp_path, monkeypatch, argv):
+        log = tmp_path / "calls.log"
+        log_thread_counts(monkeypatch, log)
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+        assert_no_child_left()
+        events = [line.split()[1] for line in log.read_text().splitlines()]
+        fork, join = events.index("fork"), events.index("join")
+        assert "thread" not in events[fork:join]
+        assert events.count("fork") == 1
+        # the stages before the fork run on two threads wherever two CPUs are usable
+        assert ("thread" in events[:fork]) == (ambiguity._usable_cpus() > 1)
+
+    def test_parent_failure_lifts_the_cap(self):
+        def refuse():
+            raise ValueError("parent refused")
+
+        with pytest.raises(ValueError, match="parent refused"):
+            cli._fork_beside(lambda: None, refuse)
+        assert_no_child_left()
+        assert not ambiguity._capped
+        seen = []
+
+        def fill(block):
+            seen.append(threading.get_ident())
+            time.sleep(0.01)
+
+        ambiguity._in_row_blocks(fill, 2, 2**16)  # two blocks of one row
+        threads = min(2, ambiguity._usable_cpus())  # one CPU: one pass on this thread
+        assert len(seen) == threads and len(set(seen)) == threads
 
 
 class TestForkedFitWriter:

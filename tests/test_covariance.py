@@ -113,6 +113,39 @@ class TestHermitianCovarianceType:
         assert c.trace() == pytest.approx(6.0)
 
 
+class TestRowPanels:
+    """The n x n passes that read a transpose run on panels of 64 rows, with the bits of one pass."""
+
+    @pytest.mark.parametrize("defect, hermitian", [(1e-9, False), (0.9e-10, True)])
+    # rows 128 and 129 are the last panel; only it reads both (129, 128) and (128, 129)
+    @pytest.mark.parametrize("cell", [(129, 3), (129, 128)])
+    def test_defect_in_the_last_partial_panel(self, defect, hermitian, cell):
+        entries = random_hermitian(130, 8).entries.copy()
+        entries[cell] += defect * np.max(np.abs(entries))
+        if hermitian:
+            HermitianCovariance(entries)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                HermitianCovariance(entries)
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
+    def test_hermitian_part_keeps_the_bits(self, monkeypatch, n):
+        m = raw_moments(random_series(n, n))
+        b = lag_matrix(m.entries)
+        assert assemble(m).entries.tobytes() == (0.5 * (b + b.conj().T)).tobytes()
+        seen = []
+        part = covariance._hermitian_part
+
+        def recorded(entries):
+            seen.append((entries, part(entries)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(covariance, "_hermitian_part", recorded)
+        correct(random_hermitian(n, n), "clip")
+        ((entries, got),) = seen
+        assert got.tobytes() == (0.5 * (entries + entries.conj().T)).tobytes()
+
+
 class TestOneEigendecomposition:
     def test_assemble_does_not_decompose(self, eig_calls):
         assemble(raw_moments(random_series(16, 40)))

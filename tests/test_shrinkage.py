@@ -908,6 +908,20 @@ class TestPosteriorRho:
         for q, value in zip(qs, out):
             assert value == pytest.approx(posterior_rho(params, float(q)))
 
+    @pytest.mark.parametrize("vbar", [1.0, 2.5e-3, 7e4])
+    def test_log_odds_in_one_buffer_equal_the_expression(self, vbar):
+        params = ShrinkageParams(vbar, 0.13, 40.0 * vbar)
+        tiny = np.finfo(float).smallest_subnormal
+        q = np.array([0.0, tiny, 3e3 * tiny, 2.2e-308, 1e-160, 0.5, 2.6, 1e150, 0.9e154, 1e154, 1.3e154])
+        for magnitudes in (q, q.reshape(1, -1), q[6:7].reshape(())):
+            with np.errstate(over="ignore"):  # the squares of the largest overflow where vbar < 1
+                got = shrinkage_module._posterior_log_odds(params, magnitudes)
+                qsq = (magnitudes / np.sqrt(params.vbar)) ** 2
+                wide = 1.0 + params.sigma2 / params.vbar
+                expected = logit(params.rho) - np.log(wide) + (1.0 - 1.0 / wide) * qsq
+            assert got.shape == np.shape(magnitudes)
+            assert got.tobytes() == np.asarray(expected).tobytes()
+
     @pytest.mark.parametrize("q", [-1.0, np.nan, [1.0, np.nan]])
     def test_rejects_negative_or_nan_magnitude(self, q):
         with pytest.raises(ValueError, match="nonnegative"):
