@@ -40,6 +40,8 @@ CHECKS = [
     (["riskbench", "whitenoise", "--n", "200", "--reps", "1", "--out", "{tmp}/p200.txt"], 0, 0),
     # the replicates after the first, run beside the forked child under one BLAS cap
     (["riskbench", "aggregation512", "--n", "64", "--reps", "3", "--out", "{tmp}/a.txt"], 0, 0),
+    # unallocatable replicates: the ratios are allocated, and refused, before the shared probe buffer
+    (["riskbench", "whitenoise", "--n", "8", "--reps", "10000000000000", "--out", "{tmp}/big.txt"], 2, 1),
 ]
 
 

@@ -222,8 +222,9 @@ def _write_shrink_files(outdir: Path, est: Shrunk, delta: float) -> None:
     blocks of the grid stages, as many lag rows as fit 1 MiB and at least
     one, by :func:`_emaf_rows`, :func:`_kappa` and :func:`_normalized`.  Each block
     gives ``emaf.mat`` its rows ``tau >= 0``, ``af_eb`` its kept cells, and
-    the QQ parts its normalized coefficients bar the origin, all in
-    row-major order.  A row's FFT does not depend on the rows beside it, so
+    the QQ parts its normalized coefficients, all in row-major order; the
+    last cell then takes the origin's place, an order the sorted QQ tables
+    do not see.  A row's FFT does not depend on the rows beside it, so
     every file is the full grid's bit for bit, while no full raw or
     normalized grid is held.
 
@@ -235,31 +236,25 @@ def _write_shrink_files(outdir: Path, est: Shrunk, delta: float) -> None:
     n, dt, grid_rows = m_raw.n, m_raw.dt, 2 * m_raw.n - 1
     kept = np.nonzero(theta > 0)
     gathered = np.empty(kept[0].size, dtype=complex)
-    parts = np.empty((2, grid_rows * 2 * n - 1))  # the QQ parts
-    origin = (n - 1) * 2 * n + n
+    parts = np.empty((2, grid_rows * 2 * n))  # the QQ parts of every cell
 
     def block(rows: slice) -> np.ndarray:
         """The rows ``tau >= 0`` of the EMAF's lag rows ``rows``, their cells taken."""
         start, stop = rows.start, rows.stop
-        raw = _finite(_emaf_rows(m_raw.entries[rows], dt), "entries")
+        raw = _emaf_rows(m_raw.entries[rows], dt)  # a non-finite cell fails the normalized check
         lo, hi = np.searchsorted(kept[0], (start, stop))
         gathered[lo:hi] = raw[kept[0][lo:hi] - start, kept[1][lo:hi]]
         kappa = _kappa(n, dt, delta, np.arange(start, stop) - (n - 1))
         flat = _finite(_normalized(raw, kappa), "entries").ravel()
-        at, cut = start * 2 * n, origin - start * 2 * n  # cut: the origin's index in flat
-        if 0 <= cut < flat.size:
-            pieces = [(at, flat[:cut]), (origin, flat[cut + 1 :])]
-        else:
-            pieces = [(at - (cut < 0), flat)]  # past the origin, one cell earlier
-        for to, piece in pieces:
-            parts[0, to : to + piece.size] = piece.real
-            parts[1, to : to + piece.size] = piece.imag
+        cells = slice(start * 2 * n, stop * 2 * n)
+        parts[0, cells], parts[1, cells] = flat.real, flat.imag
         return raw[max(n - 1 - start, 0) :]
 
     blocks = map(block, _row_blocks(grid_rows, 2 * n))  # each block freed before the next is built
     half = [f"# half shape={grid_rows}x{2 * n}"]
     write_matrix(outdir / "emaf.mat", RowBlocks(n, 2 * n, complex, blocks), trailing=half)
-    qq = [_qq_data(part, psi[0]) for part in parts]
+    parts[:, (n - 1) * 2 * n + n] = parts[:, -1]  # the last cell over the origin; QQ sorts its values
+    qq = [_qq_data(part[:-1], psi[0]) for part in parts]
     _write_fit(outdir, psi, [np.column_stack([q.theoretical_quantiles, q.sample_quantiles]) for q in qq])
     if est.converged:
         # apply_threshold(emaf(m_raw), theta) at its kept cells
@@ -306,14 +301,13 @@ def _write_summary(
         fh.writelines(f"{key}={value}\n" for key, value in items)
 
 
-def _fork_beside(
-    child: Callable[[], object], parent: Callable[[], object]
-) -> tuple[object, object]:
-    """Run ``child`` in a forked process while this one runs ``parent``; return both results.
+def _fork_beside(child: Callable[[], object], parent: Callable[[], object]) -> object:
+    """Run ``child`` in a forked process while this one runs ``parent``; return ``parent``'s result.
 
-    The child sends what ``child`` returns or raises, pickled, down a pipe,
-    and always leaves by ``os._exit``, with status 0 only once that report
-    is written whole: it never returns into its caller's stack and writes
+    The child reports only a failure: down a pipe it writes nothing once
+    ``child`` returns, or the exception ``child`` raised, pickled.  It
+    always leaves by ``os._exit``, with status 0 only once that report is
+    written whole: it never returns into its caller's stack and writes
     nothing to stderr.  This process reads the pipe to its end and reaps the
     child on every path.  A failure of ``parent`` is the one raised;
     otherwise a child that ends any other way than a clean exit raises
@@ -326,7 +320,8 @@ def _fork_beside(
     """
     with _one_blas_thread():
         if not hasattr(os, "fork"):
-            return child(), parent()
+            child()
+            return parent()
         read_fd, write_fd = os.pipe()
         with warnings.catch_warnings():
             # Python >= 3.12 warns that fork with other threads alive may deadlock the child, and
@@ -346,9 +341,10 @@ def _fork_beside(
             try:
                 os.close(read_fd)
                 try:
-                    report = pickle.dumps((True, child()))
+                    child()
+                    report = b""
                 except BaseException as err:
-                    report = pickle.dumps((False, err))
+                    report = pickle.dumps(err)
                 with open(write_fd, "wb") as pipe:
                     pipe.write(report)
                 code = 0
@@ -368,10 +364,9 @@ def _fork_beside(
         raise OSError(f"forked child killed by signal {-status} ({signal.strsignal(-status)})")
     if status > 0:
         raise OSError(f"forked child exited with status {status}")
-    returned, child_result = pickle.loads(report)
-    if not returned:
-        raise child_result
-    return child_result, parent_result
+    if report:
+        raise pickle.loads(report)
+    return parent_result
 
 
 def run_analyze(cfg: PipelineConfig) -> int:
@@ -441,7 +436,7 @@ def run_analyze(cfg: PipelineConfig) -> int:
         _write_estimate(outdir, cfg, cov.entries, cov.min_eigenvalue(), tfr)
         return cov_est.min_eigenvalue(), cov.min_eigenvalue(), np.mean(est.theta.theta > 0)
 
-    _, summary = _fork_beside(lambda: _write_shrink_files(outdir, est, cfg.delta), estimate)
+    summary = _fork_beside(lambda: _write_shrink_files(outdir, est, cfg.delta), estimate)
     _write_summary(outdir, cfg, x, preset, psi, summary)
     return 0
 
@@ -456,9 +451,10 @@ def run_riskbench(
     over ``max(reps, 100)`` records, in the blocks of :func:`diagnostics._probe_walk`.
     After the first replicate, a forked child walks the blocks from the last
     one back, while this process runs the other replicates and then walks
-    them from the first one on, until the two meet at a block the other has
-    claimed in their shared map.  Each record is transformed on its own, so
-    the report is the single-process probe's bit for bit, however the blocks fall.
+    them from the first one on, both into one shared buffer, until they meet
+    at a block its claim map shows taken.  Each record is transformed on its
+    own, so the report is the single-process probe's bit for bit, however
+    the blocks fall.
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
@@ -470,33 +466,30 @@ def run_riskbench(
     try:
         truth = TheoreticalCovariance(_analytic_truth(spec.truth(n, dt).entries))
         probe = range(seed, seed + max(reps, 100))
-        raw, eb = np.empty(len(probe), dtype=complex), np.empty(len(probe), dtype=complex)
         ratios = np.empty(reps)
+        # shared with the forked child: the probe's raw and eb entries, then one claim byte per record
+        shared = mmap.mmap(-1, 33 * len(probe))
+        raw, eb = np.frombuffer(shared, complex, 2 * len(probe)).reshape(2, -1)
+        claims = np.frombuffer(shared, np.uint8, offset=32 * len(probe))
 
         def replicate(rep: int) -> None:
             est = shrink(spec.sample(n, seed + rep, dt))
             shrunk = correct(assemble(est.m_eb), correction)
             ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
 
-        def late() -> tuple[int, np.ndarray, np.ndarray]:
-            first = _probe_walk(n, probe, claims, raw, eb, backward=True)
-            return first, raw[first:], eb[first:]
-
         def early() -> None:
             try:
                 for rep in range(1, reps):
                     replicate(rep)
             except BaseException:
-                claims[:] = b"\1" * len(claims)  # the child stops after the block it runs
+                claims[:] = 1  # the child stops after the block it runs
                 raise
             _probe_walk(n, probe, claims, raw, eb)
 
-        with mmap.mmap(-1, len(probe)) as claims:
-            replicate(0)
-            (first, raw_late, eb_late), _ = _fork_beside(late, early)
-        raw[first:], eb[first:] = raw_late, eb_late
+        replicate(0)
+        _fork_beside(lambda: _probe_walk(n, probe, claims, raw, eb, backward=True), early)
         var_eb, var_raw = float(np.var(eb)), float(np.var(raw))
-    except (ValueError, OSError) as err:  # an OSError here is the fork's, not a write's
+    except (ValueError, OSError) as err:  # the fork's or the shared map's OSError, not a write's
         return _fail(f"cannot run riskbench on {preset}: {err}")
     with open(out, "w") as fh:
         fh.write(f"# riskbench v1 preset={preset} n={n} reps={reps} seed={seed}\n")

@@ -9,7 +9,6 @@ reduces the variance of a single moment estimate under white noise.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,10 +172,9 @@ def _probe_entries(n: int, seeds: range) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _probe_walk(
-    n: int, seeds: range, claims: bytearray | mmap.mmap, raw: np.ndarray, eb: np.ndarray,
-    backward: bool = False,
-) -> int:
-    """Run the probe's blocks of ``seeds`` into ``raw`` and ``eb``; return the lowest record run.
+    n: int, seeds: range, claims: np.ndarray, raw: np.ndarray, eb: np.ndarray, backward: bool = False
+) -> None:
+    """Run the probe's blocks of ``seeds`` into ``raw`` and ``eb``.
 
     A block is as many records as fit their raw lag products in 2 MiB, and
     at least one, counted from the first of ``seeds``.  The walk goes from
@@ -184,18 +182,15 @@ def _probe_walk(
     claims each block at its first record's byte of ``claims`` before it
     runs the block, and stops at the first block already claimed, so walks
     that share ``claims`` split the blocks; where two meet both may run one
-    block, with identical bits.  Returns ``len(seeds)`` if no block ran.
+    block, with identical bits.
     """
     size = max(1, 2**21 // ((2 * n - 1) * n * np.dtype(complex).itemsize))
-    first = len(seeds)
     for start in range(0, len(seeds), size)[:: -1 if backward else 1]:
         if claims[start]:
             break
         claims[start] = 1
-        first = min(first, start)
         span = slice(start, start + size)
         raw[span], eb[span] = _probe_entries(n, seeds[span])
-    return first
 
 
 def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float]:
@@ -223,5 +218,5 @@ def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float
     if n < 8:
         raise ValueError(f"series length must be at least 8, got {n}")
     raw, eb = np.empty(reps, dtype=complex), np.empty(reps, dtype=complex)
-    _probe_walk(n, range(seed, seed + reps), bytearray(reps), raw, eb)
+    _probe_walk(n, range(seed, seed + reps), np.zeros(reps, np.uint8), raw, eb)
     return float(np.var(eb)), float(np.var(raw))

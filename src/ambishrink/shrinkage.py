@@ -145,18 +145,16 @@ def marginal_nll(params: ShrinkageParams, magnitudes: np.ndarray) -> float:
     return float(-np.sum(log_f))
 
 
-def _expit_softplus(
-    d: np.ndarray, out: tuple[np.ndarray, ...] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _expit_softplus(d: np.ndarray, out: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """``expit(d)`` and ``softplus(d) = log(1 + e^d)``, both from one ``e = exp(-|d|)``.
 
     ``expit(d)`` is ``1 / (1 + e)`` for ``d >= 0`` and ``e / (1 + e)``
     below, and ``softplus(d) = max(d, 0) + log1p(e)``; neither overflows.
     ``out`` holds three float arrays of ``d``'s shape that the kernel
     overwrites in full: a scratch array, then ``expit`` and ``softplus``,
-    which it returns; without it they are allocated.
+    which it returns.
     """
-    e, r, softplus = np.empty((3, *d.shape)) if out is None else out
+    e, r, softplus = out
     np.abs(d, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)

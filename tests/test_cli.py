@@ -469,7 +469,7 @@ class TestAnalyzeMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the forked child builds the full EMAF, its normalized grid and the QQ tables; the
+        # the forked child, which streams the EMAF in blocks of lag rows, is not traced here; the
         # parent builds no full ambiguity grid, and its peak (3.1 units) is in correct or bilinear
         assert peak <= 3.25 * unit
 
@@ -489,7 +489,7 @@ class TestAnalyzeMemory:
         for name in calls:
             monkeypatch.setattr(cli, name, counted(name))
         # the child's calls are counted only when the fit files are written in this process
-        monkeypatch.setattr(cli, "_fork_beside", lambda child, parent: (child(), parent()))
+        monkeypatch.setattr(cli, "_fork_beside", lambda child, parent: (child(), parent())[1])
         argv = ["analyze", "--input", "whitenoise", "--n", str(n)]
         assert main(argv + ["--outdir", str(tmp_path / "converged")]) == 0
         # each of the 2n - 1 lag rows is transformed and normalized once, in more than one block
@@ -515,7 +515,7 @@ class TestAnalyzeMemory:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            return None, parent()
+            return parent()
 
         monkeypatch.setattr(cli, "_fork_beside", traced_child)
         argv = ["analyze", "--input", "aggregation512", "--n", str(n)]
@@ -680,9 +680,11 @@ class TestRiskbench:
 
         def in_turn(child, parent):
             if first == "child":
-                return child(), parent()
+                child()
+                return parent()
             parent_result = parent()
-            return child(), parent_result
+            child()
+            return parent_result
 
         monkeypatch.setattr(cli, "_fork_beside", in_turn)
         assert main(argv + [str(tmp_path / "one.txt")]) == 0
@@ -728,14 +730,22 @@ class TestRiskbench:
         assert not out.exists()
 
     def test_child_killed_mid_report_names_its_signal(self, tmp_path, capsys, monkeypatch):
-        def half_dumps(outcome):
-            report = pickle.dumps(outcome)
+        this_process, walk = os.getpid(), cli._probe_walk
+
+        def refuse_in_child(*args, **kwargs):
+            if os.getpid() != this_process:
+                raise ValueError("probe refused")
+            walk(*args, **kwargs)
+
+        def half_dumps(err):
+            report = pickle.dumps(err)
             return report[: len(report) // 2]
 
         def killed(code):
             os.kill(os.getpid(), signal.SIGKILL)
 
-        # the child writes the first half of its report, then dies at its exit
+        # the child fails, writes the first half of its report, then dies at its exit
+        monkeypatch.setattr(cli, "_probe_walk", refuse_in_child)
         monkeypatch.setattr(cli, "pickle", SimpleNamespace(dumps=half_dumps, loads=pickle.loads))
         monkeypatch.setattr(os, "_exit", killed)
         out = tmp_path / "b.txt"
@@ -755,7 +765,8 @@ class TestUnallocatableSize:
     def test_riskbench_reps_exits_2(self, tmp_path, capsys):
         out = tmp_path / "b.txt"
         argv = ["riskbench", "whitenoise", "--n", "8", "--reps", "10000000000000"]
-        assert main(argv + ["--out", str(out)]) == 2  # 146 TiB of probe values
+        # 72.8 TiB of ratios, refused as larger than memory before the 300 TiB shared probe buffer
+        assert main(argv + ["--out", str(out)]) == 2
         assert_one_error_line(capsys, "out of memory")
         assert not out.exists()
 
@@ -974,6 +985,30 @@ def log_thread_counts(monkeypatch, log: Path) -> tuple[list[str], list[str]]:
     monkeypatch.setattr(os, "waitpid", logged_waitpid)
     monkeypatch.setattr(threading.Thread, "start", logged_start)
     return ["threads=1"] * len(libs), [f"threads={count}" for count in before]
+
+
+class TestForkBeside:
+    """``_fork_beside`` returns only the parent's result; the child reports only a failure."""
+
+    @pytest.fixture(params=["fork", "no-fork"])
+    def forking(self, request, monkeypatch):
+        if request.param == "no-fork":
+            monkeypatch.delattr(os, "fork")  # the fallback runs the child, then the parent
+
+    def test_parent_result_is_returned_and_the_child_value_ignored(self, forking):
+        assert cli._fork_beside(lambda: "child value", lambda: ["parent value"]) == ["parent value"]
+        assert_no_child_left()
+
+    def test_child_fit_error_is_raised_with_its_best(self, forking):
+        best = ShrinkageParams(1.0, 0.1, 2.0, nll=5.0, iterations=77)
+
+        def no_fit():
+            raise FitConvergenceError("search budget exhausted", best)
+
+        with pytest.raises(FitConvergenceError, match="search budget exhausted") as info:
+            cli._fork_beside(no_fit, lambda: "parent value")
+        assert info.value.best == best
+        assert_no_child_left()
 
 
 class TestOneCoreBesideTheFork:

@@ -312,6 +312,13 @@ class TestProbeWalk:
     def unwritten() -> tuple[np.ndarray, np.ndarray]:
         return np.full(137, np.nan, dtype=complex), np.full(137, np.nan, dtype=complex)
 
+    @staticmethod
+    def written(raw: np.ndarray, eb: np.ndarray) -> list[int]:
+        """The records whose NaN sentinel a walk overwrote, in both arrays alike."""
+        done = ~np.isnan(raw)
+        np.testing.assert_array_equal(done, ~np.isnan(eb))
+        return np.flatnonzero(done).tolist()
+
     @pytest.mark.parametrize(
         # 137 records are one block (n=8), eight blocks of 16 and one of 9 (n=64), or one-record
         # blocks (n=200); each row names the first record of a middle block and of the next one
@@ -320,21 +327,21 @@ class TestProbeWalk:
     )
     def test_walks_meeting_at_a_claimed_block_equal_one_walk(self, n, middle, after):
         raw, eb = self.unwritten()
-        claims = bytearray(len(self.SEEDS))
+        claims = np.zeros(len(self.SEEDS), np.uint8)
         claims[middle] = 1
-        # each walk returns the lowest record it ran, or len(SEEDS) if it ran none
-        assert _probe_walk(n, self.SEEDS, claims, raw, eb, backward=True) == after
-        assert _probe_walk(n, self.SEEDS, claims, raw, eb) == (0 if middle else len(self.SEEDS))
-        assert np.isnan(raw[middle:after]).all() and np.isnan(eb[middle:after]).all()
+        # the backward walk writes the blocks after the claimed one, the forward walk those before
+        assert _probe_walk(n, self.SEEDS, claims, raw, eb, backward=True) is None
+        assert self.written(raw, eb) == list(range(after, len(self.SEEDS)))
+        assert _probe_walk(n, self.SEEDS, claims, raw, eb) is None
+        assert self.written(raw, eb) == list(range(middle)) + list(range(after, len(self.SEEDS)))
         raw[middle:after], eb[middle:after] = _probe_entries(n, self.SEEDS[middle:after])
         raw_one, eb_one = self.unwritten()
-        assert _probe_walk(n, self.SEEDS, bytearray(len(self.SEEDS)), raw_one, eb_one) == 0
+        _probe_walk(n, self.SEEDS, np.zeros(len(self.SEEDS), np.uint8), raw_one, eb_one)
         assert raw.tobytes() == raw_one.tobytes() and eb.tobytes() == eb_one.tobytes()
 
     @pytest.mark.parametrize("backward", [False, True])
     @pytest.mark.parametrize("n", [8, 64, 200])
     def test_walk_over_a_full_map_runs_nothing(self, n, backward):
         raw, eb = self.unwritten()
-        claims = bytearray(b"\1" * len(self.SEEDS))
-        assert _probe_walk(n, self.SEEDS, claims, raw, eb, backward) == len(self.SEEDS)
-        assert np.isnan(raw).all() and np.isnan(eb).all()
+        _probe_walk(n, self.SEEDS, np.ones(len(self.SEEDS), np.uint8), raw, eb, backward)
+        assert self.written(raw, eb) == []

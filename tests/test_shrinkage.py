@@ -515,7 +515,7 @@ class TestOneExpObjective:
         d = np.concatenate([[800.0, -800.0, 1e-300, -1e-300, 0.0, -0.0], 40.0 * rng.standard_normal(2000)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r, softplus = shrinkage_module._expit_softplus(d)
+            r, softplus = shrinkage_module._expit_softplus(d, np.empty((3, d.size)))
         np.testing.assert_allclose(r, expit(d), rtol=1e-13, atol=0)
         np.testing.assert_allclose(softplus, np.logaddexp(0.0, d), rtol=1e-13, atol=0)
 
