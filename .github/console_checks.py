@@ -32,16 +32,16 @@ CHECKS = [
     (["analyze", "--input", "aggregation512", "--n", "512", "--outdir", "{tmp}/b"], 0, 0),
     # a zero-energy window, refused before the fit
     (["analyze", "--input", "whitenoise", "--n", "16", "--kernel", "hann:2", "--outdir", "{tmp}/z"], 2, 1),
-    # an overflowing normalization field, refused by the first replicate before the variance probe
+    # an overflowing normalization field, refused by the first replicate
     (["riskbench", "whitenoise", "--reps", "1", "--dt", "1e-300", "--out", "{tmp}/wn.txt"], 2, 1),
-    # the variance probe, split between this process and a forked child
+    # one replicate of a short white-noise record
     (["riskbench", "whitenoise", "--n", "16", "--reps", "1", "--out", "{tmp}/p.txt"], 0, 0),
-    # one-record probe blocks, so the two walks claim every byte of the shared map
+    # one replicate whose shrink runs its lag rows in more than one block
     (["riskbench", "whitenoise", "--n", "200", "--reps", "1", "--out", "{tmp}/p200.txt"], 0, 0),
-    # the replicates after the first, run beside the forked child under one BLAS cap
+    # several replicates, each correct under its own BLAS cap
     (["riskbench", "aggregation512", "--n", "64", "--reps", "3", "--out", "{tmp}/a.txt"], 0, 0),
-    # unallocatable replicates: the ratios are allocated, and refused, before the shared probe buffer
-    (["riskbench", "whitenoise", "--n", "8", "--reps", "10000000000000", "--out", "{tmp}/big.txt"], 2, 1),
+    # unallocatable replicates: 145.5 TiB of ratios, refused before the first replicate
+    (["riskbench", "whitenoise", "--n", "8", "--reps", "20000000000000", "--out", "{tmp}/big.txt"], 2, 1),
 ]
 
 

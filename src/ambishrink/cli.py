@@ -23,7 +23,6 @@ and ``summary.txt``, still are).
 from __future__ import annotations
 
 import argparse
-import mmap
 import os
 import pickle
 import signal
@@ -37,7 +36,7 @@ import numpy as np
 
 from .ambiguity import _emaf_rows, _kappa, _normalized, _row_blocks, check_delta
 from .covariance import CORRECTIONS, _one_blas_thread, assemble, correct
-from .diagnostics import _probe_walk, _qq_data, qq_ranks, risk_report
+from .diagnostics import _qq_data, qq_ranks, risk_report
 from .procgen import (
     AggregationProcess,
     TheoreticalCovariance,
@@ -444,17 +443,11 @@ def run_analyze(cfg: PipelineConfig) -> int:
 def run_riskbench(
     preset: str, reps: int, n: int, seed: int, dt: float, correction: str, out: str
 ) -> int:
-    """Write ``preset``'s risk ratios over ``reps`` replicates and the variance probe to ``out``.
+    """Write ``preset``'s risk ratios over ``reps`` replicates and their mean to ``out``.
 
-    The settings are checked before any fit runs, and the first replicate
-    before the probe.  The probe is :func:`diagnostics.variance_reduction_probe`
-    over ``max(reps, 100)`` records, in the blocks of :func:`diagnostics._probe_walk`.
-    After the first replicate, a forked child walks the blocks from the last
-    one back, while this process runs the other replicates and then walks
-    them from the first one on, both into one shared buffer, until they meet
-    at a block its claim map shows taken.  Each record is transformed on its
-    own, so the report is the single-process probe's bit for bit, however
-    the blocks fall.
+    Replicate ``rep`` shrinks the record drawn with seed ``seed + rep`` and
+    compares its corrected covariance and its raw one with the exact truth.
+    The settings are checked before any fit runs.
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
@@ -465,37 +458,17 @@ def run_riskbench(
     _check_seed(seed)
     try:
         truth = TheoreticalCovariance(_analytic_truth(spec.truth(n, dt).entries))
-        probe = range(seed, seed + max(reps, 100))
         ratios = np.empty(reps)
-        # shared with the forked child: the probe's raw and eb entries, then one claim byte per record
-        shared = mmap.mmap(-1, 33 * len(probe))
-        raw, eb = np.frombuffer(shared, complex, 2 * len(probe)).reshape(2, -1)
-        claims = np.frombuffer(shared, np.uint8, offset=32 * len(probe))
-
-        def replicate(rep: int) -> None:
+        for rep in range(reps):
             est = shrink(spec.sample(n, seed + rep, dt))
             shrunk = correct(assemble(est.m_eb), correction)
             ratios[rep] = risk_report(shrunk, assemble(est.m_raw), truth).frobenius_ratio
-
-        def early() -> None:
-            try:
-                for rep in range(1, reps):
-                    replicate(rep)
-            except BaseException:
-                claims[:] = 1  # the child stops after the block it runs
-                raise
-            _probe_walk(n, probe, claims, raw, eb)
-
-        replicate(0)
-        _fork_beside(lambda: _probe_walk(n, probe, claims, raw, eb, backward=True), early)
-        var_eb, var_raw = float(np.var(eb)), float(np.var(raw))
-    except (ValueError, OSError) as err:  # the fork's or the shared map's OSError, not a write's
+    except ValueError as err:
         return _fail(f"cannot run riskbench on {preset}: {err}")
     with open(out, "w") as fh:
         fh.write(f"# riskbench v1 preset={preset} n={n} reps={reps} seed={seed}\n")
         for rep, ratio in enumerate(ratios):
             fh.write(f"rep={rep} ratio={_fmt_real(float(ratio))}\n")
-        fh.write(f"var_eb={_fmt_real(var_eb)} var_raw={_fmt_real(var_raw)}\n")
         fh.write(f"mean_ratio={_fmt_real(float(np.mean(ratios)))}\n")
     return 0
 

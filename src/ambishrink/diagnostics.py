@@ -171,28 +171,6 @@ def _probe_entries(n: int, seeds: range) -> tuple[np.ndarray, np.ndarray]:
     return m_raw[:, tau + n - 1, t].copy(), eb_vals
 
 
-def _probe_walk(
-    n: int, seeds: range, claims: np.ndarray, raw: np.ndarray, eb: np.ndarray, backward: bool = False
-) -> None:
-    """Run the probe's blocks of ``seeds`` into ``raw`` and ``eb``.
-
-    A block is as many records as fit their raw lag products in 2 MiB, and
-    at least one, counted from the first of ``seeds``.  The walk goes from
-    the first block on, or with ``backward`` from the last one back.  It
-    claims each block at its first record's byte of ``claims`` before it
-    runs the block, and stops at the first block already claimed, so walks
-    that share ``claims`` split the blocks; where two meet both may run one
-    block, with identical bits.
-    """
-    size = max(1, 2**21 // ((2 * n - 1) * n * np.dtype(complex).itemsize))
-    for start in range(0, len(seeds), size)[:: -1 if backward else 1]:
-        if claims[start]:
-            break
-        claims[start] = 1
-        span = slice(start, start + size)
-        raw[span], eb[span] = _probe_entries(n, seeds[span])
-
-
 def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float]:
     """Monte Carlo variance of one shrunk moment entry versus its raw value.
 
@@ -204,19 +182,23 @@ def variance_reduction_probe(n: int, reps: int, seed: int) -> tuple[float, float
     on lag row 5 alone, which gives the entry bit for bit as ``shrink``
     does.
 
-    The replicates run in the blocks of :func:`_probe_walk`, each one stack
-    of records for that chain: 16 records at ``n = 64``, 4 at ``n = 128``,
-    and one from ``n = 182`` up, where the probe runs record by record.
-    Every row is transformed on its own, so the block size, and any split of
-    the blocks between walks, moves no bit.  A replicate whose fit exhausts
-    its search budget still contributes its best parameters, so long runs do
-    not abort on one stubborn draw.
+    The replicates run in blocks of as many records as fit their raw lag
+    products in 2 MiB, and at least one, each one stack of records for that
+    chain: 16 records at ``n = 64``, 4 at ``n = 128``, and one from
+    ``n = 182`` up, where the probe runs record by record.  Every row is
+    transformed on its own, so the block size moves no bit.  A replicate
+    whose fit exhausts its search budget still contributes its best
+    parameters, so long runs do not abort on one stubborn draw.
     Returns ``(var_eb, var_raw)`` over the replicates.
     """
     if reps < 100:
         raise ValueError(f"need at least 100 replicates, got {reps}")
     if n < 8:
         raise ValueError(f"series length must be at least 8, got {n}")
+    seeds = range(seed, seed + reps)
     raw, eb = np.empty(reps, dtype=complex), np.empty(reps, dtype=complex)
-    _probe_walk(n, range(seed, seed + reps), np.zeros(reps, np.uint8), raw, eb)
+    size = max(1, 2**21 // ((2 * n - 1) * n * np.dtype(complex).itemsize))
+    for start in range(0, reps, size):
+        span = slice(start, start + size)
+        raw[span], eb[span] = _probe_entries(n, seeds[span])
     return float(np.var(eb)), float(np.var(raw))

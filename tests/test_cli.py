@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line driver."""
 
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -11,7 +10,6 @@ import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,10 +20,9 @@ from scipy.special import ndtri
 import ambishrink.ambiguity as ambiguity
 import ambishrink.cli as cli
 import ambishrink.covariance as covariance
-import ambishrink.diagnostics as diagnostics
 from ambishrink.ambiguity import emaf, normalization, normalize
 from ambishrink.cli import PipelineConfig, main, run_analyze
-from ambishrink.diagnostics import qq_normalized_af, variance_reduction_probe
+from ambishrink.diagnostics import qq_normalized_af
 from ambishrink.procgen import gen_aggregation, gen_white_noise
 from ambishrink.series import TimeSeries, analytic_spectrum_weights
 from ambishrink.shrinkage import FitConvergenceError, ShrinkageParams, apply_threshold, shrink
@@ -527,29 +524,22 @@ class TestAnalyzeMemory:
 
 
 class TestRiskbench:
-    def test_white_noise_benchmark_reports_variance_reduction(self, tmp_path):
+    def test_report_is_the_header_the_replicates_and_their_mean(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("riskbench forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         out = tmp_path / "bench.txt"
-        code = main(
-            [
-                "riskbench",
-                "whitenoise",
-                "--reps",
-                "100",
-                "--n",
-                "64",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+        argv = ["riskbench", "whitenoise", "--reps", "5", "--n", "64", "--seed", "3"]
+        assert main(argv + ["--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("# riskbench v1 preset=whitenoise n=64 reps=100")
-        assert sum(1 for line in lines if line.startswith("rep=")) == 100
-        pairs = dict(
-            part.split("=") for line in lines[1:] for part in line.split() if "=" in part
-        )
-        assert float(pairs["var_eb"]) < float(pairs["var_raw"])
-        assert "mean_ratio" in pairs
+        assert lines[0] == "# riskbench v1 preset=whitenoise n=64 reps=5 seed=3"
+        ratios = [line.split() for line in lines[1:-1]]
+        assert [[part.split("=")[0] for part in line] for line in ratios] == [["rep", "ratio"]] * 5
+        assert [line[0] for line in ratios] == [f"rep={rep}" for rep in range(5)]
+        key, mean = lines[-1].split("=")
+        assert key == "mean_ratio"
+        assert float(mean) == np.mean([float(line[1].split("=")[1]) for line in ratios])
 
     def test_short_tvchirp_record_runs(self, tmp_path):
         # its filter is 17 taps wide: the truth must skip lags beyond n - 1
@@ -613,90 +603,6 @@ class TestRiskbench:
         assert code == 2
         assert_one_error_line(capsys, "cannot write")
 
-    @pytest.mark.parametrize("reps", [1, 100, 157])
-    # one block of every record (n=8), blocks of 16 (n=64) and blocks of one record (n=200)
-    @pytest.mark.parametrize("n", [8, 64, 200])
-    def test_forked_probe_is_the_single_process_probe(self, tmp_path, n, reps):
-        out = tmp_path / "b.txt"
-        argv = ["riskbench", "whitenoise", "--n", str(n), "--reps", str(reps), "--seed", "3"]
-        assert main(argv + ["--out", str(out)]) == 0
-        assert_no_child_left()
-        line = out.read_text().splitlines()[-2]
-        got = {key: float(value).hex() for key, value in (part.split("=") for part in line.split())}
-        var_eb, var_raw = variance_reduction_probe(n, max(reps, 100), 3)
-        assert got == {"var_eb": var_eb.hex(), "var_raw": var_raw.hex()}
-
-    def test_no_thread_count_call_between_the_fork_and_the_join(self, tmp_path, monkeypatch):
-        log = tmp_path / "calls.log"
-        cap, restore = log_thread_counts(monkeypatch, log)
-        argv = ["riskbench", "aggregation512", "--n", "64", "--reps", "3"]
-        assert main(argv + ["--out", str(tmp_path / "b.txt")]) == 0
-        # replicate 0's correct caps itself before the fork; one cap then covers the other
-        # replicates' correct and both processes' probe blocks, and only this process sets it,
-        # before the fork, and lifts it after the join
-        events = cap + restore + cap + ["fork", "join"] + restore
-        assert log.read_text().splitlines() == [f"{os.getpid()} {event}" for event in events]
-        assert_no_child_left()
-
-    def test_replicate_failing_after_the_fork_stops_the_child(self, tmp_path, capsys, monkeypatch):
-        log, shrink_record = tmp_path / "blocks.log", cli.shrink
-        entries = diagnostics._probe_entries
-        shrunk = []
-
-        def refuse_the_second(x, *args):
-            shrunk.append(x.n)
-            if len(shrunk) == 2:
-                raise ValueError("replicate refused")
-            return shrink_record(x, *args)
-
-        def logged_entries(n, seeds):
-            append_line(log, str(os.getpid()))
-            return entries(n, seeds)
-
-        fork = os.fork
-
-        def logged_fork():
-            append_line(log, "fork")
-            return fork()
-
-        monkeypatch.setattr(os, "fork", logged_fork)
-        monkeypatch.setattr(cli, "shrink", refuse_the_second)
-        monkeypatch.setattr(diagnostics, "_probe_entries", logged_entries)
-        out = tmp_path / "b.txt"
-        # one record per block at n=256: 100 blocks of about 16 ms each
-        assert main(["riskbench", "whitenoise", "--n", "256", "--reps", "2", "--out", str(out)]) == 2
-        assert_no_child_left()
-        assert capsys.readouterr().err == "error: cannot run riskbench on whitenoise: replicate refused\n"
-        assert not out.exists()
-        # rep 1 failed after the fork, and this process claimed every block before it re-raised
-        lines = log.read_text().splitlines()
-        assert len(shrunk) == 2 and lines[0] == "fork"
-        assert str(os.getpid()) not in lines and len(lines) - 1 < 50, lines
-
-    @pytest.mark.parametrize("first", ["child", "parent"])
-    def test_one_side_running_every_block_writes_the_same_bytes(self, tmp_path, monkeypatch, first):
-        argv = ["riskbench", "aggregation512", "--n", "64", "--reps", "3", "--seed", "2", "--out"]
-        assert main(argv + [str(tmp_path / "forked.txt")]) == 0
-
-        def in_turn(child, parent):
-            if first == "child":
-                child()
-                return parent()
-            parent_result = parent()
-            child()
-            return parent_result
-
-        monkeypatch.setattr(cli, "_fork_beside", in_turn)
-        assert main(argv + [str(tmp_path / "one.txt")]) == 0
-        assert (tmp_path / "one.txt").read_bytes() == (tmp_path / "forked.txt").read_bytes()
-
-    def test_run_without_fork_writes_the_forked_report(self, tmp_path, monkeypatch):
-        argv = ["riskbench", "aggregation512", "--n", "64", "--reps", "3", "--out"]
-        assert main(argv + [str(tmp_path / "forked.txt")]) == 0
-        monkeypatch.delattr(os, "fork")  # _fork_beside's fallback: the backward walk runs every block
-        assert main(argv + [str(tmp_path / "unforked.txt")]) == 0
-        assert (tmp_path / "unforked.txt").read_bytes() == (tmp_path / "forked.txt").read_bytes()
-
     def test_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         package_root = str(Path(cli.__file__).resolve().parents[1])
         inherited = os.environ.get("PYTHONPATH")
@@ -713,50 +619,6 @@ class TestRiskbench:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
-    def test_child_value_error_is_one_line(self, tmp_path, capsys, monkeypatch):
-        this_process, entries = os.getpid(), diagnostics._probe_entries
-
-        def refuse_in_child(n, seeds):
-            if os.getpid() != this_process:
-                raise ValueError("probe refused")
-            return entries(n, seeds)
-
-        monkeypatch.setattr(diagnostics, "_probe_entries", refuse_in_child)
-        out = tmp_path / "b.txt"
-        assert main(["riskbench", "whitenoise", "--n", "64", "--reps", "1", "--out", str(out)]) == 2
-        assert_no_child_left()
-        err = capsys.readouterr().err
-        assert err == "error: cannot run riskbench on whitenoise: probe refused\n"
-        assert not out.exists()
-
-    def test_child_killed_mid_report_names_its_signal(self, tmp_path, capsys, monkeypatch):
-        this_process, walk = os.getpid(), cli._probe_walk
-
-        def refuse_in_child(*args, **kwargs):
-            if os.getpid() != this_process:
-                raise ValueError("probe refused")
-            walk(*args, **kwargs)
-
-        def half_dumps(err):
-            report = pickle.dumps(err)
-            return report[: len(report) // 2]
-
-        def killed(code):
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        # the child fails, writes the first half of its report, then dies at its exit
-        monkeypatch.setattr(cli, "_probe_walk", refuse_in_child)
-        monkeypatch.setattr(cli, "pickle", SimpleNamespace(dumps=half_dumps, loads=pickle.loads))
-        monkeypatch.setattr(os, "_exit", killed)
-        out = tmp_path / "b.txt"
-        assert main(["riskbench", "whitenoise", "--n", "16", "--reps", "1", "--out", str(out)]) == 2
-        assert_no_child_left()
-        kill = signal.SIGKILL
-        killed_by = f"forked child killed by signal {int(kill)} ({signal.strsignal(kill)})"
-        assert capsys.readouterr().err == f"error: cannot run riskbench on whitenoise: {killed_by}\n"
-        assert not out.exists()
-
-
 class TestUnallocatableSize:
     # Each request is larger than the 128 TiB of a 47-bit user address space, so
     # the allocation fails at once under any overcommit policy.  Never test a
@@ -764,8 +626,8 @@ class TestUnallocatableSize:
 
     def test_riskbench_reps_exits_2(self, tmp_path, capsys):
         out = tmp_path / "b.txt"
-        argv = ["riskbench", "whitenoise", "--n", "8", "--reps", "10000000000000"]
-        # 72.8 TiB of ratios, refused as larger than memory before the 300 TiB shared probe buffer
+        argv = ["riskbench", "whitenoise", "--n", "8", "--reps", "20000000000000"]
+        # 145.5 TiB of ratios, refused before the first replicate
         assert main(argv + ["--out", str(out)]) == 2
         assert_one_error_line(capsys, "out of memory")
         assert not out.exists()
@@ -810,13 +672,12 @@ class TestRiskbenchChecksFirst:
             ("--n", "4", "at least 8"),
         ],
     )
-    def test_bad_setting_exits_2_before_truth_and_probe(
+    def test_bad_setting_exits_2_before_truth(
         self, tmp_path, capsys, monkeypatch, flag, value, fragment
     ):
         def not_called(*args, **kwargs):
             raise AssertionError("ran before the settings were checked")
 
-        monkeypatch.setattr(diagnostics, "_probe_entries", not_called)
         monkeypatch.setattr(cli, "_analytic_truth", not_called)
         out = tmp_path / "b.txt"
         argv = ["riskbench", "whitenoise", "--reps", "2", "--n", "128", flag, value]
@@ -829,13 +690,9 @@ class TestRiskbenchChecksFirst:
         [("whitenoise", "1e-300", "normalization field"), ("tvchirp", "1e120", "NaN or infinity")],
         ids=["normalization-overflow", "emaf-overflow"],
     )
-    def test_failing_replicate_exits_2_before_the_probe(
-        self, tmp_path, capsys, monkeypatch, preset, dt, fragment
+    def test_failing_replicate_exits_2_on_the_first_replicate(
+        self, tmp_path, capsys, preset, dt, fragment
     ):
-        def not_called(*args, **kwargs):
-            raise AssertionError("the probe ran before the first replicate")
-
-        monkeypatch.setattr(diagnostics, "_probe_entries", not_called)
         out = tmp_path / "b.txt"
         argv = ["riskbench", preset, "--reps", "1", "--n", "64", "--dt", dt, "--out", str(out)]
         assert main(argv) == 2
@@ -1019,10 +876,8 @@ class TestOneCoreBesideTheFork:
         [
             # shrink runs its 300 lag rows in three blocks before the fork
             ["analyze", "--input", "aggregation512", "--n", "300", "--outdir", "{tmp}/r"],
-            # replicate 0's shrink runs two blocks before the fork; the probe runs beside it
-            ["riskbench", "whitenoise", "--n", "200", "--reps", "1", "--out", "{tmp}/b.txt"],
         ],
-        ids=["analyze", "riskbench"],
+        ids=["analyze"],
     )
     def test_threads_only_outside_the_fork(self, tmp_path, monkeypatch, argv):
         log = tmp_path / "calls.log"

@@ -10,8 +10,6 @@ from ambishrink.covariance import HermitianCovariance, assemble, correct, invert
 from ambishrink.diagnostics import (
     QQData,
     RiskReport,
-    _probe_entries,
-    _probe_walk,
     qq_normalized_af,
     risk_report,
     variance_reduction_probe,
@@ -303,45 +301,3 @@ class TestVarianceReductionProbe:
     def test_rejects_short_series(self):
         with pytest.raises(ValueError, match="length"):
             variance_reduction_probe(4, 100, 0)
-
-
-class TestProbeWalk:
-    SEEDS = range(3, 3 + 137)
-
-    @staticmethod
-    def unwritten() -> tuple[np.ndarray, np.ndarray]:
-        return np.full(137, np.nan, dtype=complex), np.full(137, np.nan, dtype=complex)
-
-    @staticmethod
-    def written(raw: np.ndarray, eb: np.ndarray) -> list[int]:
-        """The records whose NaN sentinel a walk overwrote, in both arrays alike."""
-        done = ~np.isnan(raw)
-        np.testing.assert_array_equal(done, ~np.isnan(eb))
-        return np.flatnonzero(done).tolist()
-
-    @pytest.mark.parametrize(
-        # 137 records are one block (n=8), eight blocks of 16 and one of 9 (n=64), or one-record
-        # blocks (n=200); each row names the first record of a middle block and of the next one
-        "n, middle, after",
-        [(8, 0, 137), (64, 64, 80), (200, 68, 69)],
-    )
-    def test_walks_meeting_at_a_claimed_block_equal_one_walk(self, n, middle, after):
-        raw, eb = self.unwritten()
-        claims = np.zeros(len(self.SEEDS), np.uint8)
-        claims[middle] = 1
-        # the backward walk writes the blocks after the claimed one, the forward walk those before
-        assert _probe_walk(n, self.SEEDS, claims, raw, eb, backward=True) is None
-        assert self.written(raw, eb) == list(range(after, len(self.SEEDS)))
-        assert _probe_walk(n, self.SEEDS, claims, raw, eb) is None
-        assert self.written(raw, eb) == list(range(middle)) + list(range(after, len(self.SEEDS)))
-        raw[middle:after], eb[middle:after] = _probe_entries(n, self.SEEDS[middle:after])
-        raw_one, eb_one = self.unwritten()
-        _probe_walk(n, self.SEEDS, np.zeros(len(self.SEEDS), np.uint8), raw_one, eb_one)
-        assert raw.tobytes() == raw_one.tobytes() and eb.tobytes() == eb_one.tobytes()
-
-    @pytest.mark.parametrize("backward", [False, True])
-    @pytest.mark.parametrize("n", [8, 64, 200])
-    def test_walk_over_a_full_map_runs_nothing(self, n, backward):
-        raw, eb = self.unwritten()
-        _probe_walk(n, self.SEEDS, np.ones(len(self.SEEDS), np.uint8), raw, eb, backward)
-        assert self.written(raw, eb) == []

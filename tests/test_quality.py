@@ -42,7 +42,7 @@ SLACK = 1.0 + 1e-6  # rounding-level moves pass
 
 
 def mean_ratio(preset: str, n: int, reps: int) -> float:
-    """``riskbench <preset> --n <n> --reps <reps> --seed 0``'s ``mean_ratio``, without the probe."""
+    """``riskbench <preset> --n <n> --reps <reps> --seed 0``'s ``mean_ratio``, computed here."""
     spec = cli._PRESETS[preset]
     truth = TheoreticalCovariance(cli._analytic_truth(spec.truth(n, 1.0).entries))
     ratios = np.empty(reps)
