@@ -604,20 +604,67 @@ class TestRiskbench:
         assert_one_error_line(capsys, "cannot write")
 
     def test_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
-        package_root = str(Path(cli.__file__).resolve().parents[1])
-        inherited = os.environ.get("PYTHONPATH")
-        reports = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = package_root + os.pathsep + inherited if inherited else package_root
-            out = tmp_path / f"threads{threads}.txt"
-            argv = ["riskbench", "whitenoise", "--n", "128", "--reps", "20", "--seed", "0"]
-            code = "import sys; from ambishrink.cli import main; sys.exit(main(sys.argv[1:]))"
-            command = [sys.executable, "-c", code, *argv, "--out", str(out)]
-            run = subprocess.run(command, env=env, capture_output=True, timeout=120)
-            assert run.returncode == 0 and run.stderr == b"", run.stderr
-            reports.append(out.read_bytes())
+        argv = ["riskbench", "whitenoise", "--n", "128", "--reps", "20", "--seed", "0"]
+        reports = [riskbench_in_subprocess(tmp_path, argv, threads) for threads in ("1", "2")]
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("preset", [preset for preset in cli.PRESETS if preset != "whitenoise"])
+    def test_every_preset_report_does_not_depend_on_the_blas_thread_count(self, tmp_path, preset):
+        argv = ["riskbench", preset, "--n", "64", "--reps", "3", "--seed", "3"]
+        reports = [riskbench_in_subprocess(tmp_path, argv, threads) for threads in ("1", "2")]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_replicate_rep_is_the_record_drawn_with_seed_plus_rep(self, tmp_path, preset):
+        def ratios(seed, reps):
+            out = tmp_path / f"seed{seed}reps{reps}.txt"
+            argv = ["riskbench", preset, "--n", "64", "--reps", str(reps), "--seed", str(seed)]
+            assert main(argv + ["--out", str(out)]) == 0
+            return [line.split()[1] for line in out.read_text().splitlines()[1:-1]]
+
+        three = ratios(5, 3)
+        assert len(set(three)) == 3
+        # a shorter run is a prefix, and one more in the seed drops the first replicate
+        assert ratios(5, 2) == three[:2]
+        assert ratios(6, 2) == three[1:]
+
+    def test_mean_of_one_replicate_is_its_ratio(self, tmp_path):
+        out = tmp_path / "b.txt"
+        assert main(["riskbench", "ma-cyclo", "--n", "64", "--reps", "1", "--out", str(out)]) == 0
+        header, rep, mean = out.read_text().splitlines()
+        assert rep.startswith("rep=0 ratio=")
+        assert mean == "mean_ratio=" + rep.removeprefix("rep=0 ratio=")
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_failing_replicate_stops_the_run_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, failing
+    ):
+        shrink_record, shrunk = cli.shrink, []
+
+        def refuse_one(x, *args):
+            shrunk.append(x.n)
+            if len(shrunk) == failing + 1:
+                raise ValueError("replicate refused")
+            return shrink_record(x, *args)
+
+        monkeypatch.setattr(cli, "shrink", refuse_one)
+        out = tmp_path / "b.txt"
+        assert main(["riskbench", "whitenoise", "--n", "64", "--reps", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: cannot run riskbench on whitenoise: replicate refused\n"
+        assert len(shrunk) == failing + 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_each_replicate_caps_its_own_correct_in_this_process(self, tmp_path, monkeypatch, preset):
+        log = tmp_path / "calls.log"
+        cap, restore = log_thread_counts(monkeypatch, log)
+        argv = ["riskbench", preset, "--n", "64", "--reps", "3", "--out", str(tmp_path / "b.txt")]
+        assert main(argv) == 0
+        lines = [line.split() for line in log.read_text().splitlines()]
+        # no fork and no join: every call is this process's, and only correct sets the cap
+        assert {pid for pid, _ in lines} == {str(os.getpid())}
+        assert [event for _, event in lines if event != "thread"] == (cap + restore) * 3
+
 
 class TestUnallocatableSize:
     # Each request is larger than the 128 TiB of a 47-bit user address space, so
@@ -791,6 +838,20 @@ class TestWriteFailure:
 def assert_no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def riskbench_in_subprocess(tmp_path: Path, argv: list[str], threads: str) -> bytes:
+    """The report of ``argv`` run by a fresh interpreter with ``OPENBLAS_NUM_THREADS=threads``."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = package_root + os.pathsep + inherited if inherited else package_root
+    out = tmp_path / f"threads{threads}.txt"
+    code = "import sys; from ambishrink.cli import main; sys.exit(main(sys.argv[1:]))"
+    command = [sys.executable, "-c", code, *argv, "--out", str(out)]
+    run = subprocess.run(command, env=env, capture_output=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == b"", run.stderr
+    return out.read_bytes()
 
 
 def append_line(path: Path, line: str) -> None:

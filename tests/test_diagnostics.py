@@ -10,6 +10,7 @@ from ambishrink.covariance import HermitianCovariance, assemble, correct, invert
 from ambishrink.diagnostics import (
     QQData,
     RiskReport,
+    _probe_entries,
     qq_normalized_af,
     risk_report,
     variance_reduction_probe,
@@ -301,3 +302,21 @@ class TestVarianceReductionProbe:
     def test_rejects_short_series(self):
         with pytest.raises(ValueError, match="length"):
             variance_reduction_probe(4, 100, 0)
+
+
+class TestProbeBlocks:
+    SEEDS = range(3, 3 + 13)
+
+    @staticmethod
+    def in_blocks(n: int, seeds: range, size: int) -> tuple[bytes, bytes]:
+        """The probe's raw and shrunk entries of ``seeds``, run in stacks of ``size`` records."""
+        starts = range(0, len(seeds), size)
+        raw, eb = zip(*(_probe_entries(n, seeds[start : start + size]) for start in starts))
+        return np.concatenate(raw).tobytes(), np.concatenate(eb).tobytes()
+
+    @pytest.mark.parametrize("size", [2, 5, 13])
+    # the probe's own blocks are of every record (n=8), of 16 (n=64) and of one record (n=200)
+    @pytest.mark.parametrize("n", [8, 64, 200])
+    def test_block_size_moves_no_bit(self, n, size):
+        # one record at a time is what shrink computes; the last blocks of 2 and 5 are short
+        assert self.in_blocks(n, self.SEEDS, size) == self.in_blocks(n, self.SEEDS, 1)
